@@ -1,10 +1,11 @@
 """Command line driver: solve, sweep, verify, rearrange.
 
 Exit codes: 0 success, 1 configuration or validation error, 2 numerical
-non-convergence.  Scalar reports go to JSON with a fixed key order, tables
-and profiles to CSV with floats printed at 17 significant digits, so a rerun
-with the same config, seed, and version is byte identical.  Timestamps live
-only in the run manifest, which sits beside the data outputs on purpose.
+non-convergence of any solve a report depends on.  Scalar reports go to JSON
+with a fixed key order, tables and profiles to CSV with floats printed at 17
+significant digits, so a rerun with the same config and version is byte
+identical.  Timestamps live only in the run manifest, which sits beside the
+data outputs on purpose.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -26,11 +27,11 @@ import numpy as np
 from . import __version__
 from .exceptions import AdmissibilityError, ConfigurationError, HypothesisError, ProjectionError
 from .grid import Field, embed_field, make_grid, refine_field
+from .nehari import level_c_infinity
 from .problem import Problem, problem_from_config
 from .rearrange import polya_szego_check, rearrange
 from .solver import (
     Backtracking,
-    FixedStep,
     GaussianBump,
     GroundStateReport,
     SolverConfig,
@@ -45,7 +46,6 @@ _USER_ERRORS = (
     AdmissibilityError,
     OSError,
     json.JSONDecodeError,
-    KeyError,
     ValueError,
 )
 
@@ -125,18 +125,13 @@ def _load_config(path: str) -> tuple:
     return json.loads(raw), _digest(raw)
 
 
-def _solver_config(cfg: dict, seed_override=None) -> SolverConfig:
+def _solver_config(cfg: dict) -> SolverConfig:
     s = cfg.get("solver", {})
     rule_cfg = s.get("step_rule", {"kind": "backtracking"})
     kind = rule_cfg.get("kind", "backtracking")
-    if kind == "backtracking":
-        rule = Backtracking(
-            beta=float(rule_cfg.get("beta", 0.5)), c1=float(rule_cfg.get("c1", 1e-4))
-        )
-    elif kind == "fixed":
-        rule = FixedStep(tau=float(rule_cfg.get("tau", 0.5)))
-    else:
-        raise ConfigurationError(f"unknown step rule {kind!r}")
+    if kind != "backtracking":
+        raise ConfigurationError(f"unknown step rule {kind!r}; backtracking is the only one")
+    rule = Backtracking(beta=float(rule_cfg.get("beta", 0.5)), c1=float(rule_cfg.get("c1", 1e-4)))
     start_cfg = s.get("start", {"kind": "gaussian_bump"})
     if start_cfg.get("kind", "gaussian_bump") != "gaussian_bump":
         raise ConfigurationError("config files support the gaussian_bump start only")
@@ -145,12 +140,10 @@ def _solver_config(cfg: dict, seed_override=None) -> SolverConfig:
         width=float(start_cfg.get("width", 1.0)),
         amplitude=float(start_cfg.get("amplitude", 1.0)),
     )
-    seed = int(s.get("seed", 0)) if seed_override is None else int(seed_override)
     return SolverConfig(
         max_iters=int(s.get("max_iters", 5000)),
         grad_tol=float(s.get("grad_tol", 1e-6)),
         step_rule=rule,
-        seed=seed,
         start=start,
     )
 
@@ -158,58 +151,53 @@ def _solver_config(cfg: dict, seed_override=None) -> SolverConfig:
 # ------------------------------------------------------------------ solving
 
 
-def _c_infinity(prob: Problem, cfg: SolverConfig) -> float:
-    """Level of the limiting problem; reuse c when V is already constant."""
-    if float(np.max(np.abs(prob.V_values - prob.potential.V_inf))) <= 1e-14:
-        return math.nan  # caller substitutes c itself
-    if not prob.potential.below_Vinf:
-        return math.nan
-    from .nehari import level_c_infinity
+def _c_infinity(prob: Problem, cfg: SolverConfig, report: GroundStateReport) -> tuple:
+    """Level of the limiting problem and whether its solve converged.
 
+    A constant V is its own limit, so c itself is returned; without the
+    below_Vinf flag the limiting level is not reported (NaN).
+    """
+    if float(np.max(np.abs(prob.V_values - prob.potential.V_inf))) <= 1e-14:
+        return report.c, True
+    if not prob.potential.below_Vinf:
+        return math.nan, True
     est = level_c_infinity(prob, [default_start(prob.grid)], cfg=cfg)
-    return est.c
+    return est.c, est.converged
 
 
 def _run_point(prob: Problem, scfg: SolverConfig, refine: bool) -> tuple:
-    """Solve; with refine, re-solve at 2N (same window) and at the doubled
-    window with matched spacing, recording both relative drifts of c."""
+    """Solve for c and c_inf; with refine, re-solve at 2N (same window) and at
+    the doubled window with matched spacing, recording both relative drifts
+    of c.  Also returns the names of the auxiliary solves that did not
+    converge."""
     report = ground_state(prob, scfg)
+    c_inf, inf_converged = _c_infinity(prob, scfg, report)
+    stalled = [] if inf_converged else ["c_inf"]
     drift = math.nan
     trunc = math.nan
     if refine and report.c != 0.0:
         fine_grid = make_grid(prob.grid.L, 2 * prob.grid.N)
-        fine = ground_state(
-            prob.on_grid(fine_grid),
-            _with_start(scfg, refine_field(report.u, 2)),
-        )
+        fine = ground_state(prob.on_grid(fine_grid),
+                            replace(scfg, start=refine_field(report.u, 2)))
         drift = abs(fine.c - report.c) / abs(report.c)
+        if not fine.converged:
+            stalled.append("2N refinement")
         try:
             wide_grid = make_grid(2.0 * prob.grid.L, 2 * prob.grid.N)
-            wide = ground_state(
-                prob.on_grid(wide_grid),
-                _with_start(scfg, embed_field(report.u, wide_grid)),
-            )
+            wide = ground_state(prob.on_grid(wide_grid),
+                                replace(scfg, start=embed_field(report.u, wide_grid)))
             trunc = abs(wide.c - report.c) / abs(report.c)
+            if not wide.converged:
+                stalled.append("doubled-window")
         except ConfigurationError:
             # table potentials carry no values beyond the original window
             trunc = math.nan
-    return report, drift, trunc
-
-
-def _with_start(cfg: SolverConfig, start: Field) -> SolverConfig:
-    return SolverConfig(
-        max_iters=cfg.max_iters,
-        grad_tol=cfg.grad_tol,
-        step_rule=cfg.step_rule,
-        seed=cfg.seed,
-        start=start,
-    )
+    return report, c_inf, drift, trunc, stalled
 
 
 def _report_json(
-    prob: Problem, cfg: dict, report: GroundStateReport, drift: float, trunc: float
+    prob: Problem, report: GroundStateReport, c_inf: float, drift: float, trunc: float
 ) -> dict:
-    c_inf = _c_infinity_value(prob, report)
     return {
         "alpha": prob.alpha,
         "L": prob.grid.L,
@@ -234,12 +222,6 @@ def _report_json(
     }
 
 
-def _c_infinity_value(prob: Problem, report: GroundStateReport) -> float:
-    if float(np.max(np.abs(prob.V_values - prob.potential.V_inf))) <= 1e-14:
-        return report.c
-    return report.c_infinity
-
-
 def cmd_ground_state(args) -> int:
     cfg, digest = _load_config(args.config)
     out_dir = Path(args.out)
@@ -248,18 +230,14 @@ def cmd_ground_state(args) -> int:
                            tool_version=__version__, started=_now())
 
     prob = problem_from_config(cfg)
-    scfg = _solver_config(cfg, args.seed)
-    report, drift, trunc = _run_point(prob, scfg, args.refine)
-    c_inf = _c_infinity(prob, scfg)
-    if not math.isnan(c_inf):
-        report = _replace_c_inf(report, c_inf)
+    report, c_inf, drift, trunc, stalled = _run_point(prob, _solver_config(cfg), args.refine)
 
     tag = str(cfg.get("tag", "ground_state"))
     base = f"{tag}_{prob.alpha:g}_{prob.grid.N}"
     star = rearrange(report.u).u_star
     json_path = out_dir / f"{base}.json"
     csv_path = out_dir / f"{base}.csv"
-    _write_json(json_path, _report_json(prob, cfg, report, drift, trunc))
+    _write_json(json_path, _report_json(prob, report, c_inf, drift, trunc))
     _write_csv(
         csv_path,
         ["x", "u", "u_star"],
@@ -271,21 +249,9 @@ def cmd_ground_state(args) -> int:
     msg = "converged" if report.converged else "did not converge"
     print(f"{msg}: c = {report.c:.12g}, residual = {report.residual:.3e}, "
           f"iterations = {report.iterations}")
-    return 0 if report.converged else 2
-
-
-def _replace_c_inf(report: GroundStateReport, c_inf: float) -> GroundStateReport:
-    return GroundStateReport(
-        u=report.u,
-        c=report.c,
-        residual=report.residual,
-        nonneg_violation=report.nonneg_violation,
-        symmetry_defect=report.symmetry_defect,
-        c_infinity=c_inf,
-        iterations=report.iterations,
-        converged=report.converged,
-        energy=report.energy,
-    )
+    for name in stalled:
+        print(f"did not converge: the {name} solve")
+    return 0 if report.converged and not stalled else 2
 
 
 # -------------------------------------------------------------------- sweep
@@ -294,7 +260,7 @@ _SWEEP_PARAMETERS = ("epsilon", "alpha", "p", "L", "N")
 
 
 def _sweep_point(task) -> dict:
-    base_cfg, parameter, value, refine, seed = task
+    base_cfg, parameter, value, refine = task
     row = {
         "parameter": parameter,
         "value": value,
@@ -329,27 +295,21 @@ def _sweep_point(task) -> dict:
         prob = problem_from_config(cfg)
         if eps != 0.0:
             prob = prob.with_potential(prob.potential.shifted(eps))
-        scfg = _solver_config(cfg, seed)
-        report, drift, trunc = _run_point(prob, scfg, refine)
-        c_inf = _c_infinity(prob, scfg)
+        report, c_inf, drift, trunc, stalled = _run_point(prob, _solver_config(cfg), refine)
         row.update(
             c=report.c,
-            c_inf=report.c if math.isnan(c_inf) and _flat(prob) else c_inf,
+            c_inf=c_inf,
             residual=report.residual,
             symmetry_defect=report.symmetry_defect,
             iterations=report.iterations,
             converged=report.converged,
             refinement_drift=drift,
             truncation_err=trunc,
-            status="ok" if report.converged else "nonconverged",
+            status="ok" if report.converged and not stalled else "nonconverged",
         )
     except Exception as e:  # partial failures are marked, the sweep continues
         row["status"] = f"error:{type(e).__name__}"
     return row
-
-
-def _flat(prob: Problem) -> bool:
-    return float(np.max(np.abs(prob.V_values - prob.potential.V_inf))) <= 1e-14
 
 
 def cmd_sweep(args) -> int:
@@ -370,7 +330,7 @@ def cmd_sweep(args) -> int:
                            tool_version=__version__, started=_now())
 
     base_cfg = {k: v for k, v in cfg.items() if k != "sweep"}
-    tasks = [(base_cfg, parameter, v, args.refine, args.seed) for v in values]
+    tasks = [(base_cfg, parameter, v, args.refine) for v in values]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_point, tasks))  # pool.map keeps input order

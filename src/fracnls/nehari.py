@@ -32,7 +32,7 @@ from scipy.optimize import brentq
 
 from .energy import evaluate_I
 from .exceptions import AdmissibilityError, ProjectionError
-from .grid import Field, make_grid, refine_field
+from .grid import Field
 from .problem import Potential, Problem
 from .spaces import inner_product_X
 
@@ -73,7 +73,6 @@ class LevelEstimate:
     c: float
     minimizer: Field
     method: str = "nehari_min"
-    refinement_drift: float = float("nan")
     iterations: int = 0
     converged: bool = True
 
@@ -155,14 +154,8 @@ def level_c(
     prob: Problem,
     starts: Sequence[Field],
     cfg=None,
-    refine: bool = False,
 ) -> LevelEstimate:
-    """Minimize I over the manifold from each start; keep the best level.
-
-    With ``refine=True`` the winning minimizer is interpolated onto a grid
-    with twice the points and re-solved; the relative change of c is
-    recorded as ``refinement_drift``.
-    """
+    """Minimize I over the manifold from each start; keep the best level."""
     from .solver import SolverConfig, ground_state
 
     if not starts:
@@ -178,20 +171,10 @@ def level_c(
         raise AdmissibilityError("no admissible start among the supplied fields")
     converged = [r for r in runs if r.converged]
     best = min(converged or runs, key=lambda r: r.c)
-
-    drift = float("nan")
-    if refine:
-        fine_grid = make_grid(prob.grid.L, 2 * prob.grid.N)
-        fine_prob = prob.on_grid(fine_grid)
-        fine_start = refine_field(best.u, 2)
-        fine = ground_state(fine_prob, replace(cfg, start=fine_start))
-        drift = abs(fine.c - best.c) / abs(best.c)
-
     return LevelEstimate(
         c=best.c,
         minimizer=best.u,
         method="nehari_min",
-        refinement_drift=drift,
         iterations=best.iterations,
         converged=best.converged,
     )
@@ -201,11 +184,10 @@ def level_c_infinity(
     prob: Problem,
     starts: Sequence[Field],
     cfg=None,
-    refine: bool = False,
 ) -> LevelEstimate:
     """The level of the limiting problem: V frozen at the constant V_inf."""
     flat = Potential.constant(prob.potential.V_inf)
-    return level_c(prob.with_potential(flat), starts, cfg=cfg, refine=refine)
+    return level_c(prob.with_potential(flat), starts, cfg=cfg)
 
 
 @dataclass(frozen=True)
@@ -244,7 +226,6 @@ class ContinuityRow:
     eps: float
     c: float
     iterations: int
-    refinement_drift: float
 
 
 @dataclass(frozen=True)
@@ -261,7 +242,6 @@ def continuity_sweep(
     prob: Problem,
     starts: Optional[Sequence[Field]] = None,
     cfg=None,
-    refine: bool = False,
     tol: float = LEVEL_TOL,
 ) -> ContinuityTable:
     """Levels of the shifted potentials V + eps.
@@ -275,15 +255,14 @@ def continuity_sweep(
         from .solver import default_start
 
         starts = [default_start(prob.grid)]
-    base = level_c(prob.with_potential(V), starts, cfg=cfg, refine=refine)
+    base = level_c(prob.with_potential(V), starts, cfg=cfg)
     rows = []
     for eps in sorted({0.0, *(float(e) for e in epsilons)}):
         if eps == 0.0:
             est = base
         else:
-            est = level_c(prob.with_potential(V.shifted(eps)), starts, cfg=cfg, refine=refine)
-        rows.append(ContinuityRow(eps=eps, c=est.c, iterations=est.iterations,
-                                  refinement_drift=est.refinement_drift))
+            est = level_c(prob.with_potential(V.shifted(eps)), starts, cfg=cfg)
+        rows.append(ContinuityRow(eps=eps, c=est.c, iterations=est.iterations))
 
     cs = [r.c for r in rows]
     monotone = all(b >= a - tol for a, b in zip(cs, cs[1:]))

@@ -23,6 +23,7 @@ two structural flags:
 
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
@@ -277,6 +278,12 @@ class Potential:
     restricted numpy namespace), a table of grid values, or a callable.
     Expression and table forms survive pickling, which the parallel sweep
     path relies on.
+
+    An expression may use only int and float literals, ``t``, the names in
+    ``_EXPR_NAMES``, unary, binary and comparison operators, and calls of
+    those functions with positional arguments; anything else (attributes,
+    subscripts, strings, lambdas, keywords) is rejected at construction, so a
+    config file cannot run code.
     """
 
     _EXPR_NAMES = {
@@ -296,6 +303,9 @@ class Potential:
         "pi": np.pi,
         "e": np.e,
     }
+    # syntax nodes an expression may contain besides constants, names and calls
+    _EXPR_NODES = (ast.Expression, ast.Load, ast.UnaryOp, ast.unaryop, ast.BinOp,
+                   ast.operator, ast.Compare, ast.cmpop)
 
     def __init__(
         self,
@@ -310,6 +320,8 @@ class Potential:
         given = sum(x is not None for x in (expr, table, func))
         if given != 1:
             raise ConfigurationError("exactly one of expr, table, func must be given")
+        if expr is not None:
+            self._check_expr(expr)
         self.V0 = float(V0)
         self.V_inf = float(V_inf)
         self.expr = expr
@@ -319,6 +331,26 @@ class Potential:
         self.below_Vinf = bool(below_Vinf)
         if self.V0 <= 0.0:
             raise HypothesisError(f"V1: the floor V0 must be positive, got {self.V0}")
+
+    @classmethod
+    def _check_expr(cls, expr: str) -> None:
+        try:
+            tree = ast.parse(expr, mode="eval")
+        except SyntaxError as e:
+            raise ConfigurationError(
+                f"potential expression {expr!r} does not parse: {e.msg}") from None
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant):
+                ok = type(node.value) in (int, float)
+            elif isinstance(node, ast.Name):
+                ok = node.id == "t" or node.id in cls._EXPR_NAMES
+            elif isinstance(node, ast.Call):
+                ok = isinstance(node.func, ast.Name) and callable(cls._EXPR_NAMES.get(node.func.id))
+            else:
+                ok = isinstance(node, cls._EXPR_NODES)
+            if not ok:
+                raise ConfigurationError(
+                    f"potential expression {expr!r} may not contain {ast.unparse(node)!r}")
 
     @classmethod
     def constant(cls, value: float, **flags) -> "Potential":
@@ -342,7 +374,7 @@ class Potential:
         if self.expr is not None:
             names = dict(self._EXPR_NAMES)
             names["t"] = grid.x
-            vals = eval(self.expr, {"__builtins__": {}}, names)  # noqa: S307 restricted names
+            vals = eval(self.expr, {"__builtins__": {}}, names)  # noqa: S307 grammar checked in __init__
         elif self.table is not None:
             if self.table.shape != (grid.N,):
                 raise ConfigurationError(
@@ -493,33 +525,32 @@ def problem_from_config(cfg: dict, validate: bool = True) -> Problem:
     ``edge_tol`` for the asymptotic proxy.  Unknown top-level keys are left
     for the caller (solver and sweep settings live beside the problem).
     """
-    try:
-        grid = make_grid(float(cfg["L"]), int(cfg["N"]))
-        alpha = float(cfg["alpha"])
-        nl_cfg = cfg["nonlinearity"]
-        pot_cfg = cfg["potential"]
-    except KeyError as e:
-        raise ConfigurationError(f"config is missing required key {e.args[0]!r}") from None
+    def need(section: dict, key: str, prefix: str = ""):
+        try:
+            return section[key]
+        except KeyError:
+            raise ConfigurationError(f"config is missing required key {prefix + key!r}") from None
+
+    grid = make_grid(float(need(cfg, "L")), int(need(cfg, "N")))
+    alpha = float(need(cfg, "alpha"))
+    nl_cfg = need(cfg, "nonlinearity")
+    pot_cfg = need(cfg, "potential")
     if nl_cfg.get("kind", "power") != "power":
         raise ConfigurationError("config files support the power nonlinearity only")
-    nl = power_nonlinearity(float(nl_cfg["p"]), nl_cfg.get("p0"))
-    flags = pot_cfg.get("flags", {})
-    kw = dict(
-        V0=float(pot_cfg["V0"]),
-        V_inf=float(pot_cfg["Vinf"]),
-        radial_increasing=bool(flags.get("radial_increasing", False)),
-        below_Vinf=bool(flags.get("below_Vinf", False)),
-    )
+    nl = power_nonlinearity(float(need(nl_cfg, "p", "nonlinearity.")), nl_cfg.get("p0"))
+    V0 = float(need(pot_cfg, "V0", "potential."))
+    V_inf = float(need(pot_cfg, "Vinf", "potential."))
+    flags = {}
+    if "flags" in pot_cfg:
+        flags = {k: bool(pot_cfg["flags"].get(k, False))
+                 for k in ("radial_increasing", "below_Vinf")}
     if "expr" in pot_cfg:
-        pot = Potential(expr=str(pot_cfg["expr"]), **kw)
+        pot = Potential(expr=str(pot_cfg["expr"]), V0=V0, V_inf=V_inf, **flags)
     elif "table" in pot_cfg:
-        pot = Potential(table=pot_cfg["table"], **kw)
-    elif kw["V0"] == kw["V_inf"]:
+        pot = Potential(table=pot_cfg["table"], V0=V0, V_inf=V_inf, **flags)
+    elif V0 == V_inf:
         # no shape given: the constant potential at the common value
-        pot = Potential(expr=repr(kw["V0"]), **kw)
-        if "flags" not in pot_cfg:
-            pot = Potential(expr=repr(kw["V0"]), V0=kw["V0"], V_inf=kw["V_inf"],
-                            radial_increasing=True, below_Vinf=False)
+        pot = Potential.constant(V0, **flags)
     else:
         raise ConfigurationError("potential config needs 'expr' or 'table' when V0 != Vinf")
     return make_problem(grid, alpha, nl, pot, validate=validate,

@@ -20,7 +20,6 @@ able to aggregate partial results.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence, Union
 
@@ -36,7 +35,6 @@ from .spaces import l2_norm
 
 __all__ = [
     "Backtracking",
-    "FixedStep",
     "GaussianBump",
     "SolverConfig",
     "GroundStateReport",
@@ -51,27 +49,19 @@ __all__ = [
 ]
 
 
+# first trial step, cap on the grown step, and the step below which the line
+# search counts as collapsed
+_TAU0 = 1.0
+_TAU_MAX = 1e3
+_T_MIN = 1e-16
+
+
 @dataclass(frozen=True)
 class Backtracking:
     """Armijo line search; the accepted step seeds the next trial step."""
 
     beta: float = 0.5
     c1: float = 1e-4
-    tau0: float = 1.0
-    tau_max: float = 1e3
-    t_min: float = 1e-16
-
-
-@dataclass(frozen=True)
-class FixedStep:
-    """Constant step size; no monotonicity guarantee, kept for
-    reproducibility studies."""
-
-    tau: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.tau <= 0.0:
-            raise ConfigurationError(f"step size must be positive, got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +71,6 @@ class GaussianBump:
     amplitude: float = 1.0
 
 
-StepRule = Union[Backtracking, FixedStep]
 Start = Union[GaussianBump, Field]
 
 
@@ -89,8 +78,7 @@ Start = Union[GaussianBump, Field]
 class SolverConfig:
     max_iters: int = 5000
     grad_tol: float = 1e-6
-    step_rule: StepRule = dc_field(default_factory=Backtracking)
-    seed: int = 0
+    step_rule: Backtracking = dc_field(default_factory=Backtracking)
     start: Start = dc_field(default_factory=GaussianBump)
 
     def __post_init__(self) -> None:
@@ -107,7 +95,6 @@ class GroundStateReport:
     residual: float
     nonneg_violation: float
     symmetry_defect: float
-    c_infinity: float
     iterations: int
     converged: bool
     energy: EnergyBreakdown
@@ -152,11 +139,10 @@ def nonneg_violation(u: Field) -> float:
     return float(np.sqrt(u.grid.dx * np.sum(neg**2))) / denom
 
 
-def _diagnostics(u: Field, prob: Problem) -> tuple:
-    star = _rearrange(u).u_star
+def _symmetry_defect(u: Field, star: Field) -> float:
+    """Relative L2 distance of u from its rearrangement star."""
     denom = l2_norm(u)
-    defect = 0.0 if denom == 0.0 else l2_norm(Field(u.grid, u.values - star.values)) / denom
-    return nonneg_violation(u), float(defect)
+    return 0.0 if denom == 0.0 else float(l2_norm(Field(u.grid, u.values - star.values)) / denom)
 
 
 def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None) -> GroundStateReport:
@@ -182,7 +168,7 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None) -> GroundSta
     u = Field(grid, rep.sigma_u * u0.values)
     E = rep.psi_max
 
-    tau = rule.tau0 if isinstance(rule, Backtracking) else rule.tau
+    tau = _TAU0
     iterations = 0
     converged = False
 
@@ -198,49 +184,36 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None) -> GroundSta
         d = np.real(np.fft.ifft(precond * np.fft.fft(g.values)))
         slope = grid.dx * float(np.sum(g.values * d))
 
-        if isinstance(rule, Backtracking):
-            t = tau
-            accepted = False
-            while t >= rule.t_min:
-                trial_vals = u.values - t * d
-                if np.any(trial_vals > 0.0):
-                    trial = Field(grid, trial_vals)
-                    try:
-                        trep = nehari_project(trial, prob)
-                    except ProjectionError:
-                        t *= rule.beta
-                        continue
-                    if trep.psi_max <= E - rule.c1 * t * slope:
-                        u = Field(grid, trep.sigma_u * trial_vals)
-                        E = trep.psi_max
-                        tau = min(2.0 * t, rule.tau_max)
-                        accepted = True
-                        break
-                t *= rule.beta
-            if not accepted:
-                break  # line search collapsed; report non-convergence
-        else:
-            trial_vals = u.values - tau * d
-            if not np.any(trial_vals > 0.0):
-                break
-            try:
-                trep = nehari_project(Field(grid, trial_vals), prob)
-            except ProjectionError:
-                break
-            u = Field(grid, trep.sigma_u * trial_vals)
-            E = trep.psi_max
+        t = tau
+        accepted = False
+        while t >= _T_MIN:
+            trial_vals = u.values - t * d
+            if np.any(trial_vals > 0.0):
+                trial = Field(grid, trial_vals)
+                try:
+                    trep = nehari_project(trial, prob)
+                except ProjectionError:
+                    t *= rule.beta
+                    continue
+                if trep.psi_max <= E - rule.c1 * t * slope:
+                    u = Field(grid, trep.sigma_u * trial_vals)
+                    E = trep.psi_max
+                    tau = min(2.0 * t, _TAU_MAX)
+                    accepted = True
+                    break
+            t *= rule.beta
+        if not accepted:
+            break  # line search collapsed; report non-convergence
         iterations += 1
 
     res = weak_residual_norm(u, prob)
     energy = evaluate_I(u, prob)
-    nneg, defect = _diagnostics(u, prob)
     return GroundStateReport(
         u=u,
         c=energy.total,
         residual=res,
-        nonneg_violation=nneg,
-        symmetry_defect=defect,
-        c_infinity=math.nan,
+        nonneg_violation=nonneg_violation(u),
+        symmetry_defect=_symmetry_defect(u, _rearrange(u).u_star),
         iterations=iterations,
         converged=converged,
         energy=energy,
@@ -323,13 +296,11 @@ def symmetry_diagnostic(report: GroundStateReport, prob: Problem) -> SymmetryRep
         raise AdmissibilityError("symmetry diagnostic needs a radial increasing potential")
     u = report.u
     star = _rearrange(u).u_star
-    denom = l2_norm(u)
-    defect = 0.0 if denom == 0.0 else l2_norm(Field(u.grid, u.values - star.values)) / denom
     E_u = evaluate_I(u, prob).total
     E_star = evaluate_I(star, prob).total
     ok = E_star <= E_u + 1e-10 * (1.0 + abs(E_u))
     return SymmetryReport(
-        defect=float(defect),
+        defect=_symmetry_defect(u, star),
         energy=E_u,
         energy_rearranged=E_star,
         rearrangement_nonincreasing=bool(ok),

@@ -250,7 +250,7 @@ def suite_rearrange(seed: int = 0) -> list:
 
 def suite_theorems(seed: int = 0) -> list:
     out = []
-    cfg = SolverConfig(seed=seed)
+    cfg = SolverConfig()
 
     prob = _base_problem()
     rep = ground_state(prob, cfg)

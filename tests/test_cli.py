@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import WELL_EXPR
+from fracnls import cli
 
 CANON = {
     "tag": "canon",
@@ -32,6 +33,20 @@ WELL = {
     "sweep": {"parameter": "epsilon", "values": [0.0, 0.1, 0.2]},
 }
 
+# above its limit and not flagged below_Vinf: the limiting level is not reported
+BUMP = {
+    "tag": "bump",
+    "alpha": 0.75,
+    "L": 20.0,
+    "N": 256,
+    "nonlinearity": {"kind": "power", "p": 3.0},
+    "potential": {"expr": "1.0 + 1.0/(1.0 + t**2)", "V0": 1.0, "Vinf": 1.0},
+    "solver": {"grad_tol": 1e-6, "max_iters": 5000},
+    "sweep": {"parameter": "epsilon", "values": [0.0]},
+}
+
+EXPLOIT = "().__class__.__mro__[1].__subclasses__().__len__()"
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -43,6 +58,15 @@ def run_cli(*args):
 def write_config(path, cfg):
     path.write_text(json.dumps(cfg, indent=2))
     return str(path)
+
+
+def main_in_process(capsys, command, cfg, tmp_path, *extra):
+    """Run one command through ``cli.main``; returns (exit code, stdout, stderr)."""
+    path = write_config(tmp_path / "cfg.json", cfg)
+    code = cli.main([command, "--config", path, "--out", str(tmp_path / "out"), *extra])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
 
 
 class TestGroundStateCommand:
@@ -174,6 +198,83 @@ class TestSweepCommand:
         r = run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o"))
         assert r.returncode == 1
         assert "banana" in r.stderr
+
+
+class TestLimitingLevel:
+    """c_inf is c for a flat V, unreported without below_Vinf, solved otherwise;
+    a solve that stops short is never reported as clean."""
+
+    def test_flat_potential_reports_c(self, tmp_path, capsys):
+        code, _, err = main_in_process(capsys, "ground-state", CANON, tmp_path)
+        assert code == 0, err
+        report = json.loads((tmp_path / "out" / "canon_0.75_256.json").read_text())
+        assert report["c_infinity"] == report["c"]
+
+    def test_unflagged_potential_reports_none(self, tmp_path, capsys):
+        gs = {k: v for k, v in BUMP.items() if k != "sweep"}
+        code, _, err = main_in_process(capsys, "ground-state", gs, tmp_path)
+        assert code == 0, err
+        report = json.loads((tmp_path / "out" / "bump_0.75_256.json").read_text())
+        assert report["c_infinity"] is None
+        code, _, err = main_in_process(capsys, "sweep", BUMP, tmp_path)
+        assert code == 0, err
+        rows = list(csv.DictReader(open(tmp_path / "out" / "bump_sweep_epsilon.csv")))
+        assert rows[0]["c_inf"] == "nan"
+
+    # c converges in 490 iterations, the c_inf solve needs 3332
+    def test_stalled_c_inf_marks_sweep_row(self, tmp_path, capsys):
+        short = json.loads(json.dumps(WELL))
+        short["solver"]["max_iters"] = 1000
+        short["sweep"]["values"] = [0.0]
+        code, _, _ = main_in_process(capsys, "sweep", short, tmp_path)
+        assert code == 2
+        rows = list(csv.DictReader(open(tmp_path / "out" / "well_sweep_epsilon.csv")))
+        assert rows[0]["converged"] == "true"
+        assert rows[0]["status"] == "nonconverged"
+
+    def test_stalled_c_inf_exits_two_naming_it(self, tmp_path, capsys):
+        short = {k: v for k, v in WELL.items() if k != "sweep"}
+        short["solver"] = {"grad_tol": 1e-6, "max_iters": 1000}
+        code, out, _ = main_in_process(capsys, "ground-state", short, tmp_path)
+        assert code == 2
+        assert out.startswith("converged: ")
+        assert "did not converge: the c_inf solve" in out
+
+    # the doubled window lets the bump's state drift off the hump, so its
+    # solve outlasts a budget the original and 2N solves fit in
+    def test_stalled_refinement_exits_two_naming_it(self, tmp_path, capsys):
+        short = {k: v for k, v in BUMP.items() if k != "sweep"}
+        short["solver"] = {"grad_tol": 1e-6, "max_iters": 100}
+        code, out, _ = main_in_process(capsys, "ground-state", short, tmp_path, "--refine")
+        assert code == 2
+        assert "did not converge: the doubled-window solve" in out
+        assert "2N" not in out
+
+
+class TestConfigErrors:
+    def test_fixed_step_rule_rejected(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(CANON))
+        cfg["solver"]["step_rule"] = {"kind": "fixed"}
+        code, _, err = main_in_process(capsys, "ground-state", cfg, tmp_path)
+        assert code == 1
+        assert "fixed" in err
+
+    @pytest.mark.parametrize("section,key", [("nonlinearity", "p"),
+                                             ("potential", "V0"),
+                                             ("potential", "Vinf")])
+    def test_missing_nested_key_named(self, tmp_path, capsys, section, key):
+        cfg = json.loads(json.dumps(WELL))
+        del cfg[section][key]
+        code, _, err = main_in_process(capsys, "ground-state", cfg, tmp_path)
+        assert code == 1
+        assert f"'{section}.{key}'" in err
+
+    def test_code_in_potential_expression_rejected(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(BUMP))
+        cfg["potential"]["expr"] = EXPLOIT
+        code, _, err = main_in_process(capsys, "ground-state", cfg, tmp_path)
+        assert code == 1
+        assert "may not contain" in err
 
 
 class TestVerifyCommand:

@@ -21,7 +21,6 @@ from fracnls import (
     evaluate_I,
     level_c,
     level_c_infinity,
-    make_grid,
     make_problem,
     nehari_project,
     norm_X,
@@ -133,13 +132,6 @@ class TestLevels:
         starts = [Field(prob512.grid, -np.ones(prob512.grid.N))]
         with pytest.raises(AdmissibilityError):
             level_c(prob512, starts, cfg=FAST)
-
-    def test_refinement_drift_reported(self, cubic, flat_potential):
-        g = make_grid(20.0, 256)
-        prob = make_problem(g, 0.75, cubic, flat_potential)
-        est = level_c(prob, [default_start(g)], cfg=FAST, refine=True)
-        assert np.isfinite(est.refinement_drift)
-        assert est.refinement_drift <= 1e-6
 
     def test_level_c_infinity_uses_constant(self, prob_well):
         est = level_c_infinity(prob_well, [default_start(prob_well.grid)], cfg=FAST)

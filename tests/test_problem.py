@@ -127,6 +127,25 @@ class TestPotential:
         assert np.allclose(W.on(g), V.on(g) + 0.25)
         assert W.V_inf == 2.25 and W.V0 == 1.25
 
+    def test_expression_cannot_run_code(self):
+        # evaluated to the number of loaded classes before the grammar check
+        exploit = "().__class__.__mro__[1].__subclasses__().__len__()"
+        with pytest.raises(ConfigurationError, match="may not contain"):
+            Potential(V0=1.0, V_inf=1.0, expr=exploit)
+
+    @pytest.mark.parametrize("expr", ["t.real", "t[0]", "'1'", "(lambda s: s)(t)",
+                                      "where(t > 0, x=1.0)", "foo(t)", "pi(t)", "1 +"])
+    def test_expression_grammar_rejects(self, expr):
+        with pytest.raises(ConfigurationError):
+            Potential.from_expr(expr, V0=1.0, V_inf=1.0)
+
+    def test_expression_grammar_accepts(self):
+        g = make_grid(10.0, 64)
+        step = Potential.from_expr("where(abs(t) < 1, 1.0, 2.0)", V0=1.0, V_inf=2.0)
+        assert np.array_equal(step.on(g), np.where(np.abs(g.x) < 1, 1.0, 2.0))
+        well = Potential.from_expr(WELL_EXPR, V0=1.0, V_inf=2.0).shifted(-0.5)
+        assert np.allclose(well.on(g), 1.5 - 1.0 / (1.0 + g.x**2))
+
     def test_shift_cannot_sink_floor(self):
         V = Potential.constant(1.0)
         with pytest.raises(ConfigurationError):
@@ -228,6 +247,7 @@ class TestProblemFromConfig:
         cfg["potential"] = {"V0": 1.5, "Vinf": 1.5}
         prob = problem_from_config(cfg)
         assert np.allclose(prob.V_values, 1.5)
+        assert prob.potential.radial_increasing and not prob.potential.below_Vinf
 
     def test_shape_required_when_levels_differ(self):
         cfg = dict(self.BASE)

@@ -14,7 +14,6 @@ from fracnls import (
     AdmissibilityError,
     Backtracking,
     Field,
-    FixedStep,
     GaussianBump,
     Potential,
     SolverConfig,
@@ -87,13 +86,6 @@ class TestGroundState:
         assert shifted.converged
         assert shifted.c == pytest.approx(centered.c, rel=1e-6)
 
-    def test_fixed_step_descends(self, prob512):
-        cfg = SolverConfig(step_rule=FixedStep(tau=0.5), max_iters=2000)
-        rep = ground_state(prob512, cfg)
-        start_energy = 2.0  # projected bump energy is above the level
-        assert rep.c < start_energy
-        assert rep.c >= C_FROZEN_A075 - 1e-6
-
     def test_nonneg_violation_field(self, prob512):
         rep = ground_state(prob512)
         assert rep.nonneg_violation <= 1e-6
@@ -114,10 +106,6 @@ class TestConfigValidation:
     def test_bad_max_iters(self):
         with pytest.raises(Exception):
             SolverConfig(max_iters=0)
-
-    def test_bad_fixed_step(self):
-        with pytest.raises(Exception):
-            FixedStep(tau=-1.0)
 
     def test_random_starts_deterministic(self, grid512):
         a = random_starts(grid512, 5, seed=9)
