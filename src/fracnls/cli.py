@@ -260,6 +260,9 @@ _SWEEP_PARAMETERS = ("epsilon", "alpha", "p", "L", "N")
 
 
 def _sweep_point(task) -> dict:
+    """One row of the sweep.  A point whose start or ray cannot be projected is
+    marked ``error:<name>`` and the sweep goes on; configuration and hypothesis
+    errors propagate, because they are the user's to fix (exit 1)."""
     base_cfg, parameter, value, refine = task
     row = {
         "parameter": parameter,
@@ -274,41 +277,42 @@ def _sweep_point(task) -> dict:
         "truncation_err": math.nan,
         "status": "ok",
     }
-    try:
-        cfg = copy.deepcopy(base_cfg)
-        eps = 0.0
-        if parameter == "epsilon":
-            eps = float(value)
-        elif parameter == "alpha":
-            cfg["alpha"] = float(value)
-        elif parameter == "p":
-            cfg["nonlinearity"]["p"] = float(value)
-            cfg["nonlinearity"].pop("p0", None)
-        elif parameter == "L":
-            cfg["L"] = float(value)
-        elif parameter == "N":
-            cfg["N"] = int(value)
-        else:
-            raise ConfigurationError(
-                f"unknown sweep parameter {parameter!r}; choose from {_SWEEP_PARAMETERS}"
-            )
-        prob = problem_from_config(cfg)
-        if eps != 0.0:
-            prob = prob.with_potential(prob.potential.shifted(eps))
-        report, c_inf, drift, trunc, stalled = _run_point(prob, _solver_config(cfg), refine)
-        row.update(
-            c=report.c,
-            c_inf=c_inf,
-            residual=report.residual,
-            symmetry_defect=report.symmetry_defect,
-            iterations=report.iterations,
-            converged=report.converged,
-            refinement_drift=drift,
-            truncation_err=trunc,
-            status="ok" if report.converged and not stalled else "nonconverged",
+    cfg = copy.deepcopy(base_cfg)
+    eps = 0.0
+    if parameter == "epsilon":
+        eps = float(value)
+    elif parameter == "alpha":
+        cfg["alpha"] = float(value)
+    elif parameter == "p":
+        cfg["nonlinearity"]["p"] = float(value)
+        cfg["nonlinearity"].pop("p0", None)
+    elif parameter == "L":
+        cfg["L"] = float(value)
+    elif parameter == "N":
+        cfg["N"] = int(value)
+    else:
+        raise ConfigurationError(
+            f"unknown sweep parameter {parameter!r}; choose from {_SWEEP_PARAMETERS}"
         )
-    except Exception as e:  # partial failures are marked, the sweep continues
+    prob = problem_from_config(cfg)
+    if eps != 0.0:
+        prob = prob.with_potential(prob.potential.shifted(eps))
+    try:
+        report, c_inf, drift, trunc, stalled = _run_point(prob, _solver_config(cfg), refine)
+    except (AdmissibilityError, ProjectionError) as e:
         row["status"] = f"error:{type(e).__name__}"
+        return row
+    row.update(
+        c=report.c,
+        c_inf=c_inf,
+        residual=report.residual,
+        symmetry_defect=report.symmetry_defect,
+        iterations=report.iterations,
+        converged=report.converged,
+        refinement_drift=drift,
+        truncation_err=trunc,
+        status="ok" if report.converged and not stalled else "nonconverged",
+    )
     return row
 
 

@@ -13,13 +13,21 @@ is computed by descent over ray directions (module ``solver``), never by
 explicit path optimization: the mountain-pass level and the manifold
 infimum coincide, and paths are never represented as data.
 
-Root finding inside ``nehari_project`` brackets the mismatch
+One array-level projection, ``project_ray``, serves the descent loop and
+``nehari_project``; it takes the ray's values and ``Q = ||u||_X^2``, so a
+caller that knows Q needs no transform.  For the power nonlinearity
+f(xi) = xi_+^p the peak has the closed form
 
-    m(sigma) = ||u||_X^2 - integral f(sigma*u) u / sigma
+    sigma_u^(p-1) = Q / integral u_+^(p+1),    psi_max = (1/2 - 1/(p+1)) sigma_u^2 Q.
 
-by doubling and halving away from sigma = 1 and then applies a bracketed
-hybrid (inverse-quadratic with bisection fallback) to machine precision;
-strict monotonicity of m under the f-hypotheses guarantees a single root.
+For any other nonlinearity the mismatch
+
+    m(sigma) = Q - integral f(sigma*u) u / sigma
+
+is bracketed by doubling or halving away from sigma = 1, and the root is
+refined by regula falsi with the Illinois modification to a relative width
+of 4 machine epsilons; strict monotonicity of m under the f-hypotheses
+guarantees a single root.
 """
 
 from __future__ import annotations
@@ -28,9 +36,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .energy import evaluate_I
 from .exceptions import AdmissibilityError, ProjectionError
 from .grid import Field
 from .problem import Potential, Problem
@@ -52,11 +58,14 @@ __all__ = [
 LEVEL_TOL = 1e-6  # absolute comparison tolerance on c, set by multistart scatter
 
 _MAX_BRACKET_STEPS = 200
+_MAX_ROOT_STEPS = 200
+_RTOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class FiberingReport:
-    """Projection of one ray onto the manifold."""
+    """Projection of one ray onto the manifold; ``iterations`` counts the
+    mismatch evaluations (0 for the closed form)."""
 
     sigma_u: float
     psi_max: float
@@ -77,75 +86,101 @@ class LevelEstimate:
     converged: bool = True
 
 
-def _mismatch(u_vals: np.ndarray, Q: float, prob: Problem, dx: float):
-    nl = prob.nonlinearity
+def _bracket(m) -> tuple:
+    """(lo, hi, m(lo), m(hi), evaluations) with m(lo) >= 0 >= m(hi), hi = 2 lo
+    unless the root is exactly 1."""
+    lo = hi = 1.0
+    m_lo = m_hi = m(1.0)
+    steps = 0
+    while m_hi > 0.0:  # root lies above: double until the mismatch turns
+        steps += 1
+        if steps > _MAX_BRACKET_STEPS:
+            raise ProjectionError(f"mismatch stayed positive up to sigma={hi:.3e}; "
+                                  "nonlinearity may be subcritical on this ray")
+        lo, m_lo = hi, m_hi
+        hi *= 2.0
+        m_hi = m(hi)
+    while m_lo < 0.0:  # root lies below: halve until the mismatch turns
+        steps += 1
+        if steps > _MAX_BRACKET_STEPS:
+            raise ProjectionError(f"mismatch stayed negative down to sigma={lo:.3e}; "
+                                  "f(xi)/xi may not vanish at 0+ on this ray")
+        hi, m_hi = lo, m_lo
+        lo /= 2.0
+        m_lo = m(lo)
+    return lo, hi, m_lo, m_hi, steps + 1
 
-    def m(sigma: float) -> float:
-        return Q - dx * float(np.sum(nl.f(sigma * u_vals) * u_vals)) / sigma
 
-    return m
+def _illinois(m, lo: float, hi: float, m_lo: float, m_hi: float) -> tuple:
+    """Root of the decreasing m on [lo, hi], where m(lo) > 0 > m(hi), by
+    regula falsi; an end point kept twice in a row has its value halved
+    (Illinois), so both ends close in.  Returns (root, evaluations)."""
+    kept = 0  # +1 after lo moved, -1 after hi moved
+    for n in range(_MAX_ROOT_STEPS):
+        x = (lo * m_hi - hi * m_lo) / (m_hi - m_lo)
+        if hi - lo <= _RTOL * x or not lo < x < hi:
+            return x, n
+        mx = m(x)
+        if mx > 0.0:
+            lo, m_lo = x, mx
+            if kept == 1:
+                m_hi *= 0.5
+            kept = 1
+        elif mx < 0.0:
+            hi, m_hi = x, mx
+            if kept == -1:
+                m_lo *= 0.5
+            kept = -1
+        else:
+            return x, n + 1
+    return x, _MAX_ROOT_STEPS
 
 
-def nehari_project(u: Field, prob: Problem) -> FiberingReport:
-    """Unique sigma_u > 0 with sigma_u * u on the manifold.
+def project_ray(vals: np.ndarray, Q: float, prob: Problem) -> tuple:
+    """Peak of the fibering map of the ray through ``vals``, whose squared
+    X-norm is ``Q``: ``(sigma_u, psi_max, bracket, mismatch evaluations)``.
 
     Rejects rays without positive part: f vanishes on xi <= 0, so psi is a
     pure upward parabola there and never crosses.
     """
-    vals = u.values
     if not np.any(vals > 0.0):
         raise ProjectionError("ray has no positive part, the fibering map has no maximizer")
-    Q = inner_product_X(u, u, prob.alpha, prob.V_values)
     if Q <= 0.0:
         raise AdmissibilityError("zero field cannot be projected")
-    dx = u.grid.dx
-    m = _mismatch(vals, Q, prob, dx)
+    nl = prob.nonlinearity
+    dx = prob.grid.dx
+    if nl.kind == "power":
+        p = nl.p
+        S = dx * float(np.sum(np.maximum(vals, 0.0) ** (p + 1.0)))
+        sigma = (Q / S) ** (1.0 / (p - 1.0))
+        return sigma, (0.5 - 1.0 / (p + 1.0)) * sigma * sigma * Q, (sigma, sigma), 0
 
-    lo = hi = 1.0
-    m1 = m(1.0)
-    steps = 0
-    if m1 == 0.0:
-        sigma = 1.0
-        bracket = (1.0, 1.0)
-        nfev = 0
+    def m(sigma: float) -> float:
+        return Q - dx * float(np.sum(nl.f(sigma * vals) * vals)) / sigma
+
+    lo, hi, m_lo, m_hi, evals = _bracket(m)
+    if m_hi == 0.0:
+        sigma, n = hi, 0
+    elif m_lo == 0.0:
+        sigma, n = lo, 0
     else:
-        if m1 > 0.0:
-            # root lies above: double until the mismatch turns negative
-            while m(hi) > 0.0:
-                hi *= 2.0
-                steps += 1
-                if steps > _MAX_BRACKET_STEPS:
-                    raise ProjectionError(
-                        f"mismatch stayed positive up to sigma={hi:.3e}; "
-                        "nonlinearity may be subcritical on this ray"
-                    )
-            lo = hi / 2.0
-        else:
-            while m(lo) < 0.0:
-                lo /= 2.0
-                steps += 1
-                if steps > _MAX_BRACKET_STEPS:
-                    raise ProjectionError(
-                        f"mismatch stayed negative down to sigma={lo:.3e}; "
-                        "f(xi)/xi may not vanish at 0+ on this ray"
-                    )
-            hi = lo * 2.0
-        bracket = (lo, hi)
-        sigma, info = brentq(m, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps,
-                             maxiter=200, full_output=True)
-        nfev = int(info.iterations)
+        sigma, n = _illinois(m, lo, hi, m_lo, m_hi)
+    psi = 0.5 * sigma * sigma * Q - dx * float(np.sum(nl.F(sigma * vals)))
+    return sigma, psi, (lo, hi), evals + n
 
-    # certify: residual of the projected point in manifold units
-    v = Field(u.grid, sigma * vals)
-    psi_max = evaluate_I(v, prob).total
-    Qv = sigma * sigma * Q
-    Sv = dx * float(np.sum(prob.nonlinearity.f(v.values) * v.values))
-    residual = Qv - Sv
+
+def nehari_project(u: Field, prob: Problem) -> FiberingReport:
+    """Unique sigma_u > 0 with sigma_u * u on the manifold, certified by the
+    manifold residual ``I'(v)v`` of the projected point ``v``."""
+    Q = inner_product_X(u, u, prob.alpha, prob.V_values)
+    sigma, psi, bracket, evals = project_ray(u.values, Q, prob)
+    v = sigma * u.values
+    residual = sigma * sigma * Q - u.grid.dx * float(np.sum(prob.nonlinearity.f(v) * v))
     return FiberingReport(
         sigma_u=float(sigma),
-        psi_max=float(psi_max),
+        psi_max=float(psi),
         bracket=bracket,
-        iterations=steps + nfev,
+        iterations=evals,
         nehari_residual=float(residual),
     )
 

@@ -280,10 +280,11 @@ class Potential:
     path relies on.
 
     An expression may use only int and float literals, ``t``, the names in
-    ``_EXPR_NAMES``, unary, binary and comparison operators, and calls of
-    those functions with positional arguments; anything else (attributes,
-    subscripts, strings, lambdas, keywords) is rejected at construction, so a
-    config file cannot run code.
+    ``_EXPR_NAMES``, unary, binary and single (unchained) comparison
+    operators, and calls of those functions with positional arguments;
+    anything else (attributes, subscripts, strings, lambdas, keywords,
+    ``a < t < b``) is rejected at construction, so a config file cannot run
+    code.
     """
 
     _EXPR_NAMES = {
@@ -303,9 +304,10 @@ class Potential:
         "pi": np.pi,
         "e": np.e,
     }
-    # syntax nodes an expression may contain besides constants, names and calls
+    # syntax nodes an expression may contain besides constants, names, calls
+    # and comparisons
     _EXPR_NODES = (ast.Expression, ast.Load, ast.UnaryOp, ast.unaryop, ast.BinOp,
-                   ast.operator, ast.Compare, ast.cmpop)
+                   ast.operator, ast.cmpop)
 
     def __init__(
         self,
@@ -346,6 +348,8 @@ class Potential:
                 ok = node.id == "t" or node.id in cls._EXPR_NAMES
             elif isinstance(node, ast.Call):
                 ok = isinstance(node.func, ast.Name) and callable(cls._EXPR_NAMES.get(node.func.id))
+            elif isinstance(node, ast.Compare):
+                ok = len(node.ops) == 1  # numpy cannot evaluate `a < t < b` on an array
             else:
                 ok = isinstance(node, cls._EXPR_NODES)
             if not ok:
@@ -478,21 +482,47 @@ def validate_potential(
 
 @dataclass(frozen=True)
 class Problem:
-    """Grid, order, nonlinearity, and potential bundled with cached V values."""
+    """Grid, order, nonlinearity, and potential bundled with cached arrays.
+
+    Besides the potential's grid values, the problem caches the half-spectrum
+    data of the solver loop, indexed like ``numpy.fft.rfft`` output (modes
+    ``k = 0 .. N/2``):
+
+    * ``symbol``: the symbol ``|w_k|^(2 alpha)``;
+    * ``dirichlet_weights``: ``(dx/N) * m_k * symbol`` with the Parseval
+      multiplicity ``m_k`` (1 for ``k = 0`` and the Nyquist mode ``N/2``, 2
+      for the conjugate pairs), so ``sum(dirichlet_weights * |rfft(u)|^2)`` is
+      the squared seminorm;
+    * ``precond``: ``1 / (symbol + max V)``, the descent's preconditioner.
+    """
 
     grid: Grid
     alpha: float
     nonlinearity: Nonlinearity
     potential: Potential
     V_values: np.ndarray = dc_field(repr=False, default=None)
+    symbol: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    dirichlet_weights: np.ndarray = dc_field(init=False, repr=False, compare=False)
+    precond: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0.5 < self.alpha <= 1.0):
             raise ConfigurationError(f"alpha must lie in (1/2, 1], got {self.alpha}")
         vals = self.potential.on(self.grid) if self.V_values is None else np.asarray(self.V_values)
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "V_values", vals)
+        g = self.grid
+        half = g.N // 2 + 1
+        symbol = np.abs(g.w[:half]) ** (2.0 * self.alpha)  # w[N/2] is the Nyquist mode
+        multiplicity = np.full(half, 2.0)
+        multiplicity[[0, -1]] = 1.0
+        cached = {
+            "V_values": vals.copy(),
+            "symbol": symbol,
+            "dirichlet_weights": (g.dx / g.N) * multiplicity * symbol,
+            "precond": 1.0 / (symbol + float(np.max(vals))),
+        }
+        for name, a in cached.items():
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     def with_potential(self, V: Potential) -> "Problem":
         return Problem(self.grid, self.alpha, self.nonlinearity, V)

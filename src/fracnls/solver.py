@@ -1,17 +1,28 @@
 """Ground states by manifold-constrained preconditioned descent.
 
-Each iterate lives on the constraint manifold.  One step:
+Each iterate lives on the constraint manifold.  The loop works on arrays,
+with the half spectra of ``numpy.fft.rfft`` (fields are real), and builds a
+``Field`` only for the returned state.  One step costs four real FFTs:
 
-  1. form the L2 gradient g of the energy at u;
-  2. precondition in frequency space, d = ifft( fft(g) / (|w|^(2 alpha) + kappa) )
-     with kappa = max V, a positive-definite approximation of the energy
-     Hessian's linear part;
-  3. backtrack along u - t*d, reprojecting every trial onto the manifold,
+  1. ``u_hat = rfft(u)``; the L2 gradient of the energy is
+     ``g = irfft(|w|^(2 alpha) u_hat) + V u - f(u)``, and the stopping
+     residual is ``||g||_L2 / ||u||_X`` with ``||u||_X^2 = Q(u)`` read off
+     ``u_hat`` by Parseval;
+  2. precondition in frequency space, ``d_hat = rfft(g) / (|w|^(2 alpha) +
+     kappa)`` and ``d = irfft(d_hat)``, with kappa = max V, a
+     positive-definite approximation of the energy Hessian's linear part;
+  3. backtrack along u - t*d, projecting every trial onto the manifold,
      until the projected energy satisfies the sufficient-decrease test
-     against <g, d>_L2.  On the manifold the ray reprojection does not
-     change the first-order decrease rate (the fibering derivative vanishes
-     at the projected point), so the plain gradient pairing is the right
-     slope.
+     against <g, d>_L2.  A trial is priced without a transform: its X-norm
+     is the quadratic ``Q(u - t d) = Q(u) - 2t B(u, d) + t^2 Q(d)``, with B
+     the X inner product, and ``nehari.project_ray`` needs only that and the
+     trial's values.  On the manifold the ray reprojection does not change
+     the first-order decrease rate (the fibering derivative vanishes at the
+     projected point), so the plain gradient pairing is the right slope.
+
+The returned level, energy and residual are computed by the Field-level
+functions of ``energy``, which the tests also use as the reference for the
+loop's arrays.
 
 Non-convergence (iteration budget exhausted or a fully collapsed line
 search) is a reported state, never an exception: comparison sweeps must be
@@ -25,10 +36,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .energy import EnergyBreakdown, evaluate_I, gradient_I, weak_residual_norm
+from .energy import EnergyBreakdown, evaluate_I, weak_residual_norm
 from .exceptions import AdmissibilityError, ConfigurationError, ProjectionError
 from .grid import Field, Grid
-from .nehari import LEVEL_TOL, level_c, level_c_infinity, nehari_project
+from .nehari import LEVEL_TOL, level_c, level_c_infinity, project_ray
 from .problem import CheckResult, Problem
 from .rearrange import rearrange as _rearrange
 from .spaces import l2_norm
@@ -145,6 +156,19 @@ def _symmetry_defect(u: Field, star: Field) -> float:
     return 0.0 if denom == 0.0 else float(l2_norm(Field(u.grid, u.values - star.values)) / denom)
 
 
+def _x_product(prob: Problem, uh: np.ndarray, vh: np.ndarray, u: np.ndarray,
+               v: np.ndarray) -> float:
+    """X inner product of u and v from their values and half spectra."""
+    dirichlet = float(np.sum(prob.dirichlet_weights * np.real(uh * np.conj(vh))))
+    return dirichlet + prob.grid.dx * float(np.sum(prob.V_values * u * v))
+
+
+def _gradient(prob: Problem, u: np.ndarray, uh: np.ndarray) -> np.ndarray:
+    """L2 gradient of the energy at u, given u's half spectrum."""
+    lin = np.fft.irfft(prob.symbol * uh, prob.grid.N)
+    return lin + prob.V_values * u - prob.nonlinearity.f(u)
+
+
 def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None) -> GroundStateReport:
     """Minimize the energy over the constraint manifold.
 
@@ -154,58 +178,57 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None) -> GroundSta
     construction.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    u0 = _as_start_field(prob.grid, cfg.start)
-    if not np.any(u0.values > 0.0):
+    u0 = _as_start_field(prob.grid, cfg.start).values
+    if not np.any(u0 > 0.0):
         raise AdmissibilityError("inadmissible start: no positive part")
 
     rule = cfg.step_rule
     grid = prob.grid
-    sym = np.abs(grid.w) ** (2.0 * prob.alpha)
-    kappa = float(np.max(prob.V_values))
-    precond = 1.0 / (sym + kappa)
-
-    rep = nehari_project(u0, prob)
-    u = Field(grid, rep.sigma_u * u0.values)
-    E = rep.psi_max
+    u0h = np.fft.rfft(u0)
+    sigma, E = project_ray(u0, _x_product(prob, u0h, u0h, u0, u0), prob)[:2]
+    u = sigma * u0
 
     tau = _TAU0
     iterations = 0
     converged = False
 
     for it in range(cfg.max_iters + 1):
-        g = gradient_I(u, prob)
-        res = weak_residual_norm(u, prob)
-        if res <= cfg.grad_tol:
+        uh = np.fft.rfft(u)
+        g = _gradient(prob, u, uh)
+        Q = _x_product(prob, uh, uh, u, u)
+        if np.sqrt(grid.dx * np.sum(g**2)) / np.sqrt(Q) <= cfg.grad_tol:
             converged = True
             break
         if it == cfg.max_iters:
             break
 
-        d = np.real(np.fft.ifft(precond * np.fft.fft(g.values)))
-        slope = grid.dx * float(np.sum(g.values * d))
+        dh = prob.precond * np.fft.rfft(g)
+        d = np.fft.irfft(dh, grid.N)
+        slope = grid.dx * float(np.sum(g * d))
+        B = _x_product(prob, uh, dh, u, d)
+        Qd = _x_product(prob, dh, dh, d, d)
 
         t = tau
         accepted = False
         while t >= _T_MIN:
-            trial_vals = u.values - t * d
-            if np.any(trial_vals > 0.0):
-                trial = Field(grid, trial_vals)
-                try:
-                    trep = nehari_project(trial, prob)
-                except ProjectionError:
-                    t *= rule.beta
-                    continue
-                if trep.psi_max <= E - rule.c1 * t * slope:
-                    u = Field(grid, trep.sigma_u * trial_vals)
-                    E = trep.psi_max
-                    tau = min(2.0 * t, _TAU_MAX)
-                    accepted = True
-                    break
+            trial = u - t * d
+            try:
+                sigma, psi = project_ray(trial, Q - 2.0 * t * B + t * t * Qd, prob)[:2]
+            except ProjectionError:
+                t *= rule.beta
+                continue
+            if psi <= E - rule.c1 * t * slope:
+                u = sigma * trial
+                E = psi
+                tau = min(2.0 * t, _TAU_MAX)
+                accepted = True
+                break
             t *= rule.beta
         if not accepted:
             break  # line search collapsed; report non-convergence
         iterations += 1
 
+    u = Field(grid, u)
     res = weak_residual_norm(u, prob)
     energy = evaluate_I(u, prob)
     return GroundStateReport(

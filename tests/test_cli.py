@@ -174,16 +174,31 @@ class TestSweepCommand:
         fb = (out_b / "well_sweep_epsilon.csv").read_bytes()
         assert fa == fb
 
-    def test_partial_failure_marked_and_exit_two(self, tmp_path):
-        broken = json.loads(json.dumps(WELL))
-        broken["sweep"] = {"parameter": "p", "values": [3.0, 1.0]}
-        cfg = write_config(tmp_path / "w.json", broken)
-        out = tmp_path / "out"
-        r = run_cli("sweep", "--config", cfg, "--out", str(out))
-        assert r.returncode == 2
-        rows = list(csv.DictReader(open(out / "well_sweep_p.csv")))
+    # a narrow start 10 beyond the L = 20 window underflows to zero on it, so
+    # that point has no positive part; the L = 40 point solves
+    def test_partial_failure_marked_and_exit_two(self, tmp_path, capsys):
+        far = json.loads(json.dumps(CANON))
+        far["solver"]["start"] = {"kind": "gaussian_bump", "center": 30.0, "width": 0.25}
+        far["sweep"] = {"parameter": "L", "values": [40.0, 20.0]}
+        code, _, err = main_in_process(capsys, "sweep", far, tmp_path)
+        assert code == 2
+        rows = list(csv.DictReader(open(tmp_path / "out" / "canon_sweep_L.csv")))
         assert rows[0]["status"] == "ok"
-        assert rows[1]["status"].startswith("error:")
+        assert rows[1]["status"] == "error:AdmissibilityError"
+        assert "error:AdmissibilityError" in err
+
+    @pytest.mark.parametrize("section,key,value,named", [
+        ("potential", "expr", EXPLOIT, "may not contain"),
+        ("nonlinearity", "p", 1.0, "f1"),
+    ])
+    def test_user_error_in_sweep_point_exits_one(self, tmp_path, capsys, section, key,
+                                                 value, named):
+        broken = json.loads(json.dumps(WELL))
+        broken["sweep"]["values"] = [0.0]
+        broken[section][key] = value
+        code, _, err = main_in_process(capsys, "sweep", broken, tmp_path)
+        assert code == 1
+        assert named in err
 
     def test_missing_sweep_section_exits_one(self, tmp_path):
         w = {k: v for k, v in WELL.items() if k != "sweep"}
@@ -221,7 +236,7 @@ class TestLimitingLevel:
         rows = list(csv.DictReader(open(tmp_path / "out" / "bump_sweep_epsilon.csv")))
         assert rows[0]["c_inf"] == "nan"
 
-    # c converges in 490 iterations, the c_inf solve needs 3332
+    # c converges in 490 iterations, the c_inf solve needs 3181
     def test_stalled_c_inf_marks_sweep_row(self, tmp_path, capsys):
         short = json.loads(json.dumps(WELL))
         short["solver"]["max_iters"] = 1000
@@ -333,6 +348,16 @@ class TestTopLevel:
     def test_no_subcommand_exits_one(self):
         r = run_cli()
         assert r.returncode == 1
+
+    def test_import_leaves_scipy_out(self):
+        r = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, fracnls; "
+             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"],
+            capture_output=True, text=True,
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[]"
 
     def test_version_importable(self):
         r = subprocess.run(

@@ -1,8 +1,10 @@
 """Fibering map, manifold projection, levels, and level comparisons.
 
-The cubic closed form sigma_u = sqrt(||u||_X^2 / integral u_+^4) is the
-independent oracle for the generic bracketing projector; the two never share
-a code path.
+The power nonlinearity projects in closed form, so for it the cubic closed
+form sigma_u = sqrt(||u||_X^2 / integral u_+^4) checks little more than the
+formula.  The projection tests therefore also run on the custom nonlinearity
+f(s) = s^3, which takes the bracket and Illinois root finder and never shares
+a code path with the closed form.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from fracnls import (
     SolverConfig,
     compare_levels,
     continuity_sweep,
+    custom_nonlinearity,
     default_start,
     evaluate_I,
     level_c,
@@ -32,6 +35,14 @@ from conftest import positive_field
 FAST = SolverConfig(max_iters=4000, grad_tol=1e-6)
 
 
+@pytest.fixture(scope="module")
+def both_paths(prob512, grid512, flat_potential):
+    """The cubic problem projected in closed form, and the same problem with
+    f(s) = s^3 as a custom nonlinearity, projected by the root finder."""
+    custom = custom_nonlinearity(lambda s: s**3, theta=4.0, p0=3.5)
+    return prob512, make_problem(grid512, 0.75, custom, flat_potential)
+
+
 def sigma_closed_form(u, prob):
     q = norm_X(u, prob.alpha, prob.potential) ** 2
     s = prob.grid.dx * np.sum(np.maximum(u.values, 0.0) ** 4)
@@ -45,21 +56,23 @@ def mismatch(u, prob, sigma):
 
 
 class TestProjection:
-    def test_matches_cubic_closed_form(self, prob512):
-        rng = np.random.default_rng(60)
-        for _ in range(30):
-            u = positive_field(prob512.grid, rng)
-            rep = nehari_project(u, prob512)
-            assert rep.sigma_u == pytest.approx(sigma_closed_form(u, prob512), rel=1e-10)
+    def test_matches_cubic_closed_form(self, both_paths):
+        for prob in both_paths:
+            rng = np.random.default_rng(60)
+            for _ in range(30):
+                u = positive_field(prob.grid, rng)
+                rep = nehari_project(u, prob)
+                assert rep.sigma_u == pytest.approx(sigma_closed_form(u, prob), rel=1e-10)
 
-    def test_certified_manifold_residual(self, prob512):
-        rng = np.random.default_rng(61)
-        for _ in range(10):
-            u = positive_field(prob512.grid, rng)
-            rep = nehari_project(u, prob512)
-            v = Field(prob512.grid, rep.sigma_u * u.values)
-            scale = norm_X(v, prob512.alpha, prob512.potential) ** 2
-            assert abs(rep.nehari_residual) <= 1e-10 * scale
+    def test_certified_manifold_residual(self, both_paths):
+        for prob in both_paths:
+            rng = np.random.default_rng(61)
+            for _ in range(10):
+                u = positive_field(prob.grid, rng)
+                rep = nehari_project(u, prob)
+                v = Field(prob.grid, rep.sigma_u * u.values)
+                scale = norm_X(v, prob.alpha, prob.potential) ** 2
+                assert abs(rep.nehari_residual) <= 1e-10 * scale
 
     def test_ray_invariance(self, prob512):
         rng = np.random.default_rng(62)
@@ -88,12 +101,15 @@ class TestProjection:
         changes = np.sum(signs[:-1] != signs[1:])
         assert changes == 1
 
-    def test_bracket_contains_root(self, prob512):
-        rng = np.random.default_rng(65)
-        u = positive_field(prob512.grid, rng)
-        rep = nehari_project(u, prob512)
-        lo, hi = rep.bracket
-        assert lo <= rep.sigma_u <= hi
+    def test_bracket_contains_root(self, both_paths):
+        closed, bracketed = (nehari_project(positive_field(p.grid, np.random.default_rng(65)), p)
+                             for p in both_paths)
+        for rep in (closed, bracketed):
+            lo, hi = rep.bracket
+            assert lo <= rep.sigma_u <= hi
+        assert closed.iterations == 0
+        assert bracketed.bracket[0] < bracketed.bracket[1]
+        assert bracketed.iterations > 0
 
     def test_nonpositive_start_rejected(self, prob512):
         u = Field(prob512.grid, -np.ones(prob512.grid.N))

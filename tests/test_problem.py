@@ -134,7 +134,8 @@ class TestPotential:
             Potential(V0=1.0, V_inf=1.0, expr=exploit)
 
     @pytest.mark.parametrize("expr", ["t.real", "t[0]", "'1'", "(lambda s: s)(t)",
-                                      "where(t > 0, x=1.0)", "foo(t)", "pi(t)", "1 +"])
+                                      "where(t > 0, x=1.0)", "foo(t)", "pi(t)", "1 +",
+                                      "1 < t < 2"])
     def test_expression_grammar_rejects(self, expr):
         with pytest.raises(ConfigurationError):
             Potential.from_expr(expr, V0=1.0, V_inf=1.0)

@@ -10,6 +10,8 @@ modules.
 import numpy as np
 import pytest
 
+from conftest import random_field
+
 from fracnls import (
     AdmissibilityError,
     Backtracking,
@@ -21,13 +23,16 @@ from fracnls import (
     compare_c_to_c_infinity,
     default_start,
     evaluate_I,
+    gradient_I,
     ground_state,
+    inner_product_X,
     make_grid,
     make_problem,
     power_nonlinearity,
     random_starts,
     symmetry_diagnostic,
 )
+from fracnls import solver
 
 # alpha = 0.75, V = 1, p = 3, L = 20: frozen level of this solver, drift
 # under N doubling below 1e-15; it is the window level, not the line level
@@ -96,6 +101,36 @@ class TestGroundState:
         rep = ground_state(prob512, SolverConfig(start=GaussianBump(width=2.0)))
         assert rep.converged
         assert rep.c == pytest.approx(C_FROZEN_A075, rel=1e-8)
+
+
+class TestArrayCore:
+    """The loop's transform-free arrays against the public Field-level
+    functions, on random fields; 1e-12 relative allows for float64 sums over
+    N = 512 taken in another order."""
+
+    def test_pinned_to_field_level_functions(self, prob_well):
+        prob, g = prob_well, prob_well.grid
+        rng = np.random.default_rng(70)
+        for _ in range(10):
+            u, w = random_field(g, rng).values, random_field(g, rng).values
+            uh = np.fft.rfft(u)
+            Q = solver._x_product(prob, uh, uh, u, u)
+            assert Q == pytest.approx(
+                inner_product_X(Field(g, u), Field(g, u), prob.alpha, prob.V_values), rel=1e-12)
+
+            grad = solver._gradient(prob, u, uh)
+            ref = gradient_I(Field(g, u), prob).values
+            assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+            # the direction as the loop forms it, priced from its half spectrum
+            dh = prob.precond * np.fft.rfft(w)
+            d = np.fft.irfft(dh, g.N)
+            B = solver._x_product(prob, uh, dh, u, d)
+            Qd = solver._x_product(prob, dh, dh, d, d)
+            for t in (0.1, 1.0, 3.0):
+                trial = Field(g, u - t * d)
+                direct = inner_product_X(trial, trial, prob.alpha, prob.V_values)
+                assert Q - 2.0 * t * B + t * t * Qd == pytest.approx(direct, rel=1e-12)
 
 
 class TestConfigValidation:
