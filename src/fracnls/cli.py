@@ -28,7 +28,7 @@ from . import __version__
 from .exceptions import AdmissibilityError, ConfigurationError, HypothesisError, ProjectionError
 from .grid import Field, embed_field, make_grid, refine_field
 from .nehari import level_c_infinity
-from .problem import Problem, problem_from_config
+from .problem import Problem, config_number, problem_from_config
 from .rearrange import polya_szego_check, rearrange
 from .solver import (
     Backtracking,
@@ -46,7 +46,6 @@ _USER_ERRORS = (
     AdmissibilityError,
     OSError,
     json.JSONDecodeError,
-    ValueError,
 )
 
 
@@ -131,18 +130,19 @@ def _solver_config(cfg: dict) -> SolverConfig:
     kind = rule_cfg.get("kind", "backtracking")
     if kind != "backtracking":
         raise ConfigurationError(f"unknown step rule {kind!r}; backtracking is the only one")
-    rule = Backtracking(beta=float(rule_cfg.get("beta", 0.5)), c1=float(rule_cfg.get("c1", 1e-4)))
+    rule = Backtracking(beta=config_number(rule_cfg.get("beta", 0.5), "solver.step_rule.beta"),
+                        c1=config_number(rule_cfg.get("c1", 1e-4), "solver.step_rule.c1"))
     start_cfg = s.get("start", {"kind": "gaussian_bump"})
     if start_cfg.get("kind", "gaussian_bump") != "gaussian_bump":
         raise ConfigurationError("config files support the gaussian_bump start only")
     start = GaussianBump(
-        center=float(start_cfg.get("center", 0.0)),
-        width=float(start_cfg.get("width", 1.0)),
-        amplitude=float(start_cfg.get("amplitude", 1.0)),
+        center=config_number(start_cfg.get("center", 0.0), "solver.start.center"),
+        width=config_number(start_cfg.get("width", 1.0), "solver.start.width"),
+        amplitude=config_number(start_cfg.get("amplitude", 1.0), "solver.start.amplitude"),
     )
     return SolverConfig(
-        max_iters=int(s.get("max_iters", 5000)),
-        grad_tol=float(s.get("grad_tol", 1e-6)),
+        max_iters=config_number(s.get("max_iters", 5000), "solver.max_iters", int),
+        grad_tol=config_number(s.get("grad_tol", 1e-6), "solver.grad_tol"),
         step_rule=rule,
         start=start,
     )
@@ -279,17 +279,14 @@ def _sweep_point(task) -> dict:
     }
     cfg = copy.deepcopy(base_cfg)
     eps = 0.0
+    number = config_number(value, "sweep.values", int if parameter == "N" else float)
     if parameter == "epsilon":
-        eps = float(value)
-    elif parameter == "alpha":
-        cfg["alpha"] = float(value)
+        eps = number
+    elif parameter in ("alpha", "L", "N"):
+        cfg[parameter] = number
     elif parameter == "p":
-        cfg["nonlinearity"]["p"] = float(value)
+        cfg["nonlinearity"]["p"] = number
         cfg["nonlinearity"].pop("p0", None)
-    elif parameter == "L":
-        cfg["L"] = float(value)
-    elif parameter == "N":
-        cfg["N"] = int(value)
     else:
         raise ConfigurationError(
             f"unknown sweep parameter {parameter!r}; choose from {_SWEEP_PARAMETERS}"
@@ -382,7 +379,10 @@ def cmd_verify(args) -> int:
 
 def cmd_rearrange(args) -> int:
     in_path = Path(args.input)
-    raw = np.loadtxt(in_path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        raw = np.loadtxt(in_path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as e:
+        raise ConfigurationError(f"input CSV {in_path.name} is not numeric: {e}") from None
     if raw.shape[1] < 2:
         raise ConfigurationError("input CSV needs columns x, u")
     x, u_vals = raw[:, 0], raw[:, 1]

@@ -378,7 +378,10 @@ class Potential:
         if self.expr is not None:
             names = dict(self._EXPR_NAMES)
             names["t"] = grid.x
-            vals = eval(self.expr, {"__builtins__": {}}, names)  # noqa: S307 grammar checked in __init__
+            try:
+                vals = eval(self.expr, {"__builtins__": {}}, names)  # noqa: S307 grammar checked in __init__
+            except (ArithmeticError, TypeError, ValueError) as e:
+                raise ConfigurationError(f"potential expression {self.expr!r} fails: {e}") from None
         elif self.table is not None:
             if self.table.shape != (grid.N,):
                 raise ConfigurationError(
@@ -547,6 +550,15 @@ def make_problem(
     return prob
 
 
+def config_number(value, key: str, cast=float):
+    """``cast(value)``; a value cast cannot read is a ConfigurationError naming
+    the dotted config ``key``."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigurationError(f"config key {key!r} cannot be read from {value!r}: {e}") from None
+
+
 def problem_from_config(cfg: dict, validate: bool = True) -> Problem:
     """Build a problem from the structured config mapping.
 
@@ -555,21 +567,21 @@ def problem_from_config(cfg: dict, validate: bool = True) -> Problem:
     ``edge_tol`` for the asymptotic proxy.  Unknown top-level keys are left
     for the caller (solver and sweep settings live beside the problem).
     """
-    def need(section: dict, key: str, prefix: str = ""):
-        try:
-            return section[key]
-        except KeyError:
-            raise ConfigurationError(f"config is missing required key {prefix + key!r}") from None
+    def need(section: dict, key: str, prefix: str = "", cast=float):
+        if key not in section:
+            raise ConfigurationError(f"config is missing required key {prefix + key!r}")
+        return config_number(section[key], prefix + key, cast)
 
-    grid = make_grid(float(need(cfg, "L")), int(need(cfg, "N")))
-    alpha = float(need(cfg, "alpha"))
-    nl_cfg = need(cfg, "nonlinearity")
-    pot_cfg = need(cfg, "potential")
+    grid = make_grid(need(cfg, "L"), need(cfg, "N", cast=int))
+    alpha = need(cfg, "alpha")
+    nl_cfg = need(cfg, "nonlinearity", cast=dict)
+    pot_cfg = need(cfg, "potential", cast=dict)
     if nl_cfg.get("kind", "power") != "power":
         raise ConfigurationError("config files support the power nonlinearity only")
-    nl = power_nonlinearity(float(need(nl_cfg, "p", "nonlinearity.")), nl_cfg.get("p0"))
-    V0 = float(need(pot_cfg, "V0", "potential."))
-    V_inf = float(need(pot_cfg, "Vinf", "potential."))
+    p0 = need(nl_cfg, "p0", "nonlinearity.") if "p0" in nl_cfg else None
+    nl = power_nonlinearity(need(nl_cfg, "p", "nonlinearity."), p0)
+    V0 = need(pot_cfg, "V0", "potential.")
+    V_inf = need(pot_cfg, "Vinf", "potential.")
     flags = {}
     if "flags" in pot_cfg:
         flags = {k: bool(pot_cfg["flags"].get(k, False))
@@ -577,11 +589,12 @@ def problem_from_config(cfg: dict, validate: bool = True) -> Problem:
     if "expr" in pot_cfg:
         pot = Potential(expr=str(pot_cfg["expr"]), V0=V0, V_inf=V_inf, **flags)
     elif "table" in pot_cfg:
-        pot = Potential(table=pot_cfg["table"], V0=V0, V_inf=V_inf, **flags)
+        table = need(pot_cfg, "table", "potential.", lambda v: np.asarray(v, dtype=float))
+        pot = Potential(table=table, V0=V0, V_inf=V_inf, **flags)
     elif V0 == V_inf:
         # no shape given: the constant potential at the common value
         pot = Potential.constant(V0, **flags)
     else:
         raise ConfigurationError("potential config needs 'expr' or 'table' when V0 != Vinf")
     return make_problem(grid, alpha, nl, pot, validate=validate,
-                        edge_tol=float(cfg.get("edge_tol", 0.05)))
+                        edge_tol=config_number(cfg.get("edge_tol", 0.05), "edge_tol"))

@@ -11,10 +11,13 @@ with the half spectra of ``numpy.fft.rfft`` (fields are real), and builds a
   2. precondition in frequency space, ``d_hat = rfft(g) / (|w|^(2 alpha) +
      kappa)`` and ``d = irfft(d_hat)``, with kappa = max V, a
      positive-definite approximation of the energy Hessian's linear part;
-  3. backtrack along u - t*d, projecting every trial onto the manifold,
-     until the projected energy satisfies the sufficient-decrease test
-     against <g, d>_L2.  A trial is priced without a transform: its X-norm
-     is the quadratic ``Q(u - t d) = Q(u) - 2t B(u, d) + t^2 Q(d)``, with B
+  3. backtrack along u - t*d from the full step t = 1, projecting every
+     trial onto the manifold, until the projected energy satisfies the
+     sufficient-decrease test against <g, d>_L2.  The preconditioned
+     Hessian's high-frequency eigenvalues are near 1, so t = 1 removes that
+     error; a step grown from the last accepted one settles at t = 2, which
+     never damps it.  A trial is priced without a transform: its X-norm is
+     the quadratic ``Q(u - t d) = Q(u) - 2t B(u, d) + t^2 Q(d)``, with B
      the X inner product, and ``nehari.project_ray`` needs only that and the
      trial's values.  On the manifold the ray reprojection does not change
      the first-order decrease rate (the fibering derivative vanishes at the
@@ -60,16 +63,13 @@ __all__ = [
 ]
 
 
-# first trial step, cap on the grown step, and the step below which the line
-# search counts as collapsed
-_TAU0 = 1.0
-_TAU_MAX = 1e3
+# the step below which the line search counts as collapsed
 _T_MIN = 1e-16
 
 
 @dataclass(frozen=True)
 class Backtracking:
-    """Armijo line search; the accepted step seeds the next trial step."""
+    """Armijo line search from the full step t = 1 on every iteration."""
 
     beta: float = 0.5
     c1: float = 1e-4
@@ -188,7 +188,6 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None) -> GroundSta
     sigma, E = project_ray(u0, _x_product(prob, u0h, u0h, u0, u0), prob)[:2]
     u = sigma * u0
 
-    tau = _TAU0
     iterations = 0
     converged = False
 
@@ -208,7 +207,7 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None) -> GroundSta
         B = _x_product(prob, uh, dh, u, d)
         Qd = _x_product(prob, dh, dh, d, d)
 
-        t = tau
+        t = 1.0
         accepted = False
         while t >= _T_MIN:
             trial = u - t * d
@@ -220,7 +219,6 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None) -> GroundSta
             if psi <= E - rule.c1 * t * slope:
                 u = sigma * trial
                 E = psi
-                tau = min(2.0 * t, _TAU_MAX)
                 accepted = True
                 break
             t *= rule.beta

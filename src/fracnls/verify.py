@@ -272,6 +272,19 @@ def suite_theorems(seed: int = 0) -> list:
                        sym.defect <= 1e-3 and sym.rearrangement_nonincreasing,
                        f"symmetry defect {sym.defect:.3e}"))
 
+    # exact discrete scaling: V = lam on [-L/s, L/s) with s = lam^(1/(2a)) is the
+    # V = 1 problem on [-L, L) rescaled, the symbol scaling exactly under w -> s w
+    a, p, lams = 0.75, 3.0, (1.0, 0.5, 2.0, 3.7)
+    reps = [ground_state(make_problem(make_grid(20.0 / lam ** (0.5 / a), 1024), a,
+                                      power_nonlinearity(p), Potential.constant(lam)), cfg)
+            for lam in lams]
+    gaps = [abs(r.c / (lam ** ((p + 1) / (p - 1) - 0.5 / a) * reps[0].c) - 1.0)
+            for lam, r in zip(lams, reps)]
+    out.append(_result("level obeys the exact scaling identity",
+                       all(r.converged for r in reps) and max(gaps) <= 1e-10,
+                       f"largest relative gap {max(gaps):.3e} over lambda = {lams[1:]}, "
+                       f"iterations {[r.iterations for r in reps]}"))
+
     from .nehari import continuity_sweep
 
     table = continuity_sweep(prob.potential, [0.4, 0.2, 0.1, 0.05], prob,

@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -236,10 +237,21 @@ class TestLimitingLevel:
         rows = list(csv.DictReader(open(tmp_path / "out" / "bump_sweep_epsilon.csv")))
         assert rows[0]["c_inf"] == "nan"
 
-    # c converges in 490 iterations, the c_inf solve needs 3181
-    def test_stalled_c_inf_marks_sweep_row(self, tmp_path, capsys):
+    # every solve of these configs converges well inside its budget, so the
+    # CLI's own solve is wrapped to run for real and come back marked stalled
+    @staticmethod
+    def stall(monkeypatch, name, when=lambda *args: True):
+        real = getattr(cli, name)
+
+        def stalled(*args, **kwargs):
+            out = real(*args, **kwargs)
+            return replace(out, converged=False) if when(*args) else out
+
+        monkeypatch.setattr(cli, name, stalled)
+
+    def test_stalled_c_inf_marks_sweep_row(self, tmp_path, capsys, monkeypatch):
+        self.stall(monkeypatch, "level_c_infinity")
         short = json.loads(json.dumps(WELL))
-        short["solver"]["max_iters"] = 1000
         short["sweep"]["values"] = [0.0]
         code, _, _ = main_in_process(capsys, "sweep", short, tmp_path)
         assert code == 2
@@ -247,19 +259,18 @@ class TestLimitingLevel:
         assert rows[0]["converged"] == "true"
         assert rows[0]["status"] == "nonconverged"
 
-    def test_stalled_c_inf_exits_two_naming_it(self, tmp_path, capsys):
+    def test_stalled_c_inf_exits_two_naming_it(self, tmp_path, capsys, monkeypatch):
+        self.stall(monkeypatch, "level_c_infinity")
         short = {k: v for k, v in WELL.items() if k != "sweep"}
-        short["solver"] = {"grad_tol": 1e-6, "max_iters": 1000}
         code, out, _ = main_in_process(capsys, "ground-state", short, tmp_path)
         assert code == 2
         assert out.startswith("converged: ")
         assert "did not converge: the c_inf solve" in out
 
-    # the doubled window lets the bump's state drift off the hump, so its
-    # solve outlasts a budget the original and 2N solves fit in
-    def test_stalled_refinement_exits_two_naming_it(self, tmp_path, capsys):
+    def test_stalled_refinement_exits_two_naming_it(self, tmp_path, capsys, monkeypatch):
+        # only the doubled-window solve (L = 40) is marked
+        self.stall(monkeypatch, "ground_state", lambda prob, cfg: prob.grid.L == 40.0)
         short = {k: v for k, v in BUMP.items() if k != "sweep"}
-        short["solver"] = {"grad_tol": 1e-6, "max_iters": 100}
         code, out, _ = main_in_process(capsys, "ground-state", short, tmp_path, "--refine")
         assert code == 2
         assert "did not converge: the doubled-window solve" in out
@@ -290,6 +301,26 @@ class TestConfigErrors:
         code, _, err = main_in_process(capsys, "ground-state", cfg, tmp_path)
         assert code == 1
         assert "may not contain" in err
+
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("ground-state", None, "N", "abc"),
+        ("ground-state", "solver", "max_iters", "many"),
+        ("sweep", "sweep", "values", ["zz"]),
+    ])
+    def test_unreadable_number_named(self, tmp_path, capsys, command, section, key, value):
+        cfg = json.loads(json.dumps(WELL))
+        (cfg[section] if section else cfg)[key] = value
+        code, _, err = main_in_process(capsys, command, cfg, tmp_path)
+        assert code == 1
+        assert f"'{section + '.' if section else ''}{key}'" in err
+
+    def test_internal_value_error_propagates(self, tmp_path, capsys, monkeypatch):
+        def broken(*args):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(cli, "_run_point", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main_in_process(capsys, "ground-state", CANON, tmp_path)
 
 
 class TestVerifyCommand:
@@ -338,6 +369,13 @@ class TestRearrangeCommand:
         src.write_text("x,u\n0,1\n1,2\n3,1\n4,0\n5,0\n6,0\n7,0\n8,0\n")
         r = run_cli("rearrange", "--in", str(src), "--out", str(tmp_path / "o"))
         assert r.returncode == 1
+
+    def test_non_numeric_input_exits_one(self, tmp_path, capsys):
+        src = tmp_path / "bad.csv"
+        src.write_text("x,u\n0,1\n1,oops\n")
+        code = cli.main(["rearrange", "--in", str(src), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "bad.csv" in capsys.readouterr().err
 
     def test_missing_input_exits_one(self, tmp_path):
         r = run_cli("rearrange", "--out", str(tmp_path))

@@ -103,6 +103,51 @@ class TestGroundState:
         assert rep.c == pytest.approx(C_FROZEN_A075, rel=1e-8)
 
 
+class TestFullStepFirst:
+    """Every iteration tries the full preconditioned step t = 1 first, which
+    damps the high-frequency error; a step grown from the last accepted one
+    settles at t = 2 and needs thousands of iterations on these problems."""
+
+    def test_flat_limiting_level_fast(self, cubic):
+        prob = make_problem(make_grid(20.0, 256), 0.75, cubic, Potential.constant(2.0))
+        rep = ground_state(prob)
+        assert rep.converged
+        assert rep.iterations < 100
+
+    def test_canonical_fast_and_frozen(self, prob_canonical):
+        rep = ground_state(prob_canonical)
+        assert rep.converged
+        assert rep.iterations < 100
+        assert rep.c == pytest.approx(C_FROZEN_A075, rel=1e-12)
+
+    @pytest.mark.parametrize("center", [4.0, 4.5])
+    def test_far_start_in_well_converges(self, grid_canonical, cubic, well_potential, center):
+        prob = make_problem(grid_canonical, 0.75, cubic, well_potential)
+        centred = ground_state(prob)
+        far = ground_state(prob, SolverConfig(start=GaussianBump(center=center)))
+        assert centred.converged and far.converged
+        assert far.c == pytest.approx(centred.c, rel=1e-9)
+
+
+class TestScalingOracle:
+    """Exact discrete scaling: with constant V = lam and s = lam^(1/(2a)),
+    u(x) = lam^(1/(p-1)) v(s x) maps the V = 1 problem on [-L, L) to the
+    V = lam problem on [-L/s, L/s) with the same N, and the symbol scales
+    exactly under w -> s w, so c(lam; L/s, N) = lam^((p+1)/(p-1) - 1/(2a))
+    c(1; L, N) to roundoff."""
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0, 3.7])
+    def test_level_scales_exactly(self, prob_canonical, cubic, lam):
+        a, p, L, N = 0.75, 3.0, 20.0, 1024
+        base = ground_state(prob_canonical)
+        s = lam ** (1.0 / (2.0 * a))
+        prob = make_problem(make_grid(L / s, N), a, cubic, Potential.constant(lam))
+        rep = ground_state(prob)
+        assert base.converged and rep.converged
+        want = lam ** ((p + 1.0) / (p - 1.0) - 1.0 / (2.0 * a)) * base.c
+        assert abs(rep.c - want) / want <= 1e-10
+
+
 class TestArrayCore:
     """The loop's transform-free arrays against the public Field-level
     functions, on random fields; 1e-12 relative allows for float64 sums over
