@@ -20,11 +20,8 @@ from .exceptions import (
     ProjectionError,
 )
 from .grid import (
-    ComplexPair,
     Field,
-    FractionalOrder,
     Grid,
-    as_order,
     composed_operator,
     embed_field,
     forward_transform,
@@ -36,24 +33,19 @@ from .grid import (
     right_lw_derivative,
 )
 from .spaces import (
-    NormReport,
     embedding_ratio,
     inner_product_X,
     l2_norm,
     norm_X,
     norm_alpha,
-    norm_report,
     seminorm_alpha,
     sup_norm,
 )
 from .problem import (
-    CheckResult,
     Nonlinearity,
     Potential,
     Problem,
-    ValidationReport,
     custom_nonlinearity,
-    growth_bound_check,
     make_problem,
     power_nonlinearity,
     problem_from_config,
@@ -61,19 +53,12 @@ from .problem import (
     validate_potential,
 )
 from .energy import (
-    EnergyBreakdown,
     evaluate_I,
-    evaluate_I_infinity,
     gradient_I,
     weak_residual_norm,
 )
 from .nehari import (
     LEVEL_TOL,
-    ContinuityRow,
-    ContinuityTable,
-    FiberingReport,
-    LevelComparison,
-    LevelEstimate,
     compare_levels,
     continuity_sweep,
     level_c,
@@ -81,12 +66,9 @@ from .nehari import (
     nehari_project,
 )
 from .solver import (
-    Backtracking,
-    GapVerdict,
     GaussianBump,
     GroundStateReport,
     SolverConfig,
-    SymmetryReport,
     check_nonnegativity,
     compare_c_to_c_infinity,
     default_start,
@@ -95,10 +77,6 @@ from .solver import (
     symmetry_diagnostic,
 )
 from .rearrange import (
-    LayerCakeResult,
-    PolyaSzegoResult,
-    PotentialMonotonicityResult,
-    RearrangementReport,
     layer_cake_check,
     polya_szego_check,
     potential_monotonicity_check,
@@ -114,11 +92,8 @@ __all__ = [
     "ConfigurationError",
     "HypothesisError",
     "ProjectionError",
-    "ComplexPair",
     "Field",
-    "FractionalOrder",
     "Grid",
-    "as_order",
     "composed_operator",
     "embed_field",
     "forward_transform",
@@ -128,59 +103,40 @@ __all__ = [
     "make_grid",
     "refine_field",
     "right_lw_derivative",
-    "NormReport",
     "embedding_ratio",
     "inner_product_X",
     "l2_norm",
     "norm_X",
     "norm_alpha",
-    "norm_report",
     "seminorm_alpha",
     "sup_norm",
-    "CheckResult",
     "Nonlinearity",
     "Potential",
     "Problem",
-    "ValidationReport",
     "custom_nonlinearity",
-    "growth_bound_check",
     "make_problem",
     "power_nonlinearity",
     "problem_from_config",
     "validate_nonlinearity",
     "validate_potential",
-    "EnergyBreakdown",
     "evaluate_I",
-    "evaluate_I_infinity",
     "gradient_I",
     "weak_residual_norm",
     "LEVEL_TOL",
-    "ContinuityRow",
-    "ContinuityTable",
-    "FiberingReport",
-    "LevelComparison",
-    "LevelEstimate",
     "compare_levels",
     "continuity_sweep",
     "level_c",
     "level_c_infinity",
     "nehari_project",
-    "Backtracking",
-    "GapVerdict",
     "GaussianBump",
     "GroundStateReport",
     "SolverConfig",
-    "SymmetryReport",
     "check_nonnegativity",
     "compare_c_to_c_infinity",
     "default_start",
     "ground_state",
     "random_starts",
     "symmetry_diagnostic",
-    "LayerCakeResult",
-    "PolyaSzegoResult",
-    "PotentialMonotonicityResult",
-    "RearrangementReport",
     "layer_cake_check",
     "polya_szego_check",
     "potential_monotonicity_check",

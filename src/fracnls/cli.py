@@ -28,16 +28,9 @@ from . import __version__
 from .exceptions import AdmissibilityError, ConfigurationError, HypothesisError, ProjectionError
 from .grid import Field, embed_field, make_grid, refine_field
 from .nehari import level_c_infinity
-from .problem import Problem, config_number, problem_from_config
+from .problem import Problem, config_number, config_section, problem_from_config
 from .rearrange import polya_szego_check, rearrange
-from .solver import (
-    Backtracking,
-    GaussianBump,
-    GroundStateReport,
-    SolverConfig,
-    default_start,
-    ground_state,
-)
+from .solver import GaussianBump, GroundStateReport, SolverConfig, default_start, ground_state
 from .verify import SUITES, run_suite
 
 _USER_ERRORS = (
@@ -125,14 +118,8 @@ def _load_config(path: str) -> tuple:
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
-    s = cfg.get("solver", {})
-    rule_cfg = s.get("step_rule", {"kind": "backtracking"})
-    kind = rule_cfg.get("kind", "backtracking")
-    if kind != "backtracking":
-        raise ConfigurationError(f"unknown step rule {kind!r}; backtracking is the only one")
-    rule = Backtracking(beta=config_number(rule_cfg.get("beta", 0.5), "solver.step_rule.beta"),
-                        c1=config_number(rule_cfg.get("c1", 1e-4), "solver.step_rule.c1"))
-    start_cfg = s.get("start", {"kind": "gaussian_bump"})
+    s = config_section(cfg, "solver", ("max_iters", "grad_tol", "start"))
+    start_cfg = config_section(s, "start", ("kind", "center", "width", "amplitude"), "solver.")
     if start_cfg.get("kind", "gaussian_bump") != "gaussian_bump":
         raise ConfigurationError("config files support the gaussian_bump start only")
     start = GaussianBump(
@@ -143,7 +130,6 @@ def _solver_config(cfg: dict) -> SolverConfig:
     return SolverConfig(
         max_iters=config_number(s.get("max_iters", 5000), "solver.max_iters", int),
         grad_tol=config_number(s.get("grad_tol", 1e-6), "solver.grad_tol"),
-        step_rule=rule,
         start=start,
     )
 
@@ -315,15 +301,15 @@ def _sweep_point(task) -> dict:
 
 def cmd_sweep(args) -> int:
     cfg, digest = _load_config(args.config)
-    sweep = cfg.get("sweep")
-    if not sweep or not sweep.get("values"):
-        raise ConfigurationError("sweep config needs a 'sweep' section with nonempty 'values'")
+    sweep = config_section(cfg, "sweep", ("parameter", "values"))
+    values = sweep.get("values")
+    if not isinstance(values, list) or not values:
+        raise ConfigurationError(f"config key 'sweep.values' must be a nonempty list, got {values!r}")
     parameter = sweep.get("parameter", "epsilon")
     if parameter not in _SWEEP_PARAMETERS:
         raise ConfigurationError(
             f"unknown sweep parameter {parameter!r}; choose from {_SWEEP_PARAMETERS}"
         )
-    values = list(sweep["values"])
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

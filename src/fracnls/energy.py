@@ -1,8 +1,9 @@
-"""The energy functional, its limiting version, and the weak-form residual.
+"""The energy functional and the weak-form residual.
 
     I(u) = 1/2 * ( |u|_alpha^2 + integral V u^2 ) - integral F(u)
 
-``evaluate_I_infinity`` replaces V by the constant V_inf.  The gradient is
+The limiting energy, V replaced by the constant V_inf, is ``evaluate_I`` on
+``prob.with_potential(Potential.constant(V_inf))``.  The gradient is
 represented as the plain field
 
     g = composed_operator(u, alpha) + V*u - f(u),
@@ -26,9 +27,7 @@ from .problem import Problem
 from .spaces import norm_X, seminorm_alpha
 
 __all__ = [
-    "EnergyBreakdown",
     "evaluate_I",
-    "evaluate_I_infinity",
     "gradient_I",
     "weak_residual_norm",
 ]
@@ -47,24 +46,14 @@ class EnergyBreakdown:
         return self.kinetic + self.potential_term - self.nonlinear
 
 
-def _breakdown(u: Field, prob: Problem, V_vals: np.ndarray) -> EnergyBreakdown:
-    g = u.grid
-    kinetic = 0.5 * seminorm_alpha(u, prob.alpha) ** 2
-    potential_term = 0.5 * g.dx * float(np.sum(V_vals * u.values**2))
-    nonlinear = g.dx * float(np.sum(prob.nonlinearity.F(u.values)))
-    return EnergyBreakdown(kinetic=kinetic, potential_term=potential_term, nonlinear=nonlinear)
-
-
 def evaluate_I(u: Field, prob: Problem) -> EnergyBreakdown:
     """Energy with the spatial potential; kinetic part frequency side,
     potential and nonlinear parts by grid quadrature."""
-    return _breakdown(u, prob, prob.V_values)
-
-
-def evaluate_I_infinity(u: Field, prob: Problem) -> EnergyBreakdown:
-    """Energy of the limiting problem, V replaced by the constant V_inf."""
-    V_inf = np.broadcast_to(prob.potential.V_inf, (u.grid.N,))
-    return _breakdown(u, prob, V_inf)
+    g = u.grid
+    kinetic = 0.5 * seminorm_alpha(u, prob.alpha) ** 2
+    potential_term = 0.5 * g.dx * float(np.sum(prob.V_values * u.values**2))
+    nonlinear = g.dx * float(np.sum(prob.nonlinearity.F(u.values)))
+    return EnergyBreakdown(kinetic=kinetic, potential_term=potential_term, nonlinear=nonlinear)
 
 
 def gradient_I(u: Field, prob: Problem) -> Field:

@@ -24,7 +24,7 @@ when a multiplier is applied, so multipliers act directly on raw FFT data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,6 @@ from .exceptions import AdmissibilityError, ConfigurationError
 __all__ = [
     "Grid",
     "Field",
-    "FractionalOrder",
-    "ComplexPair",
     "make_grid",
     "forward_transform",
     "inverse_transform",
@@ -122,35 +120,17 @@ class Field:
         object.__setattr__(self, "values", _readonly(v))
 
 
-@dataclass(frozen=True)
-class FractionalOrder:
-    """Derivative order ``alpha`` with ``1/2 < alpha <= 1``.
+def _check_alpha(alpha: float) -> float:
+    """``alpha`` as a float, rejected unless ``1/2 < alpha <= 1``.
 
     The open range is the analytic setting; ``alpha = 1`` is admitted as a
     classical-limit diagnostic where every operator reduces to the standard
     derivative calculus.
     """
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        a = float(self.alpha)
-        if not (0.5 < a <= 1.0):
-            raise ConfigurationError(f"alpha must lie in (1/2, 1], got {a}")
-        object.__setattr__(self, "alpha", a)
-
-    def __float__(self) -> float:
-        return self.alpha
-
-
-OrderLike = Union[FractionalOrder, float]
-
-
-def as_order(alpha: OrderLike) -> float:
-    """Validate and return ``alpha`` as a plain float."""
-    if isinstance(alpha, FractionalOrder):
-        return alpha.alpha
-    return FractionalOrder(float(alpha)).alpha
+    a = float(alpha)
+    if not (0.5 < a <= 1.0):
+        raise ConfigurationError(f"alpha must lie in (1/2, 1], got {a}")
+    return a
 
 
 class ComplexPair(NamedTuple):
@@ -192,7 +172,7 @@ def _one_sided_symbol(grid: Grid, alpha: float, sign: float) -> np.ndarray:
     return sym
 
 
-def left_lw_derivative(u: Field, alpha: OrderLike) -> ComplexPair:
+def left_lw_derivative(u: Field, alpha: float) -> ComplexPair:
     """Left-sided fractional derivative, symbol ``(i w)^alpha``.
 
     Returns the physical-side real and imaginary parts.  The imaginary part
@@ -200,25 +180,25 @@ def left_lw_derivative(u: Field, alpha: OrderLike) -> ComplexPair:
     spectrum respects the symbol's conjugate symmetry, and its size measures
     how far the sampled field is from that ideal.
     """
-    a = as_order(alpha)
+    a = _check_alpha(alpha)
     out = _apply_symbol(u, _one_sided_symbol(u.grid, a, +1.0))
     return ComplexPair(Field(u.grid, out.real), Field(u.grid, out.imag))
 
 
-def right_lw_derivative(u: Field, alpha: OrderLike) -> ComplexPair:
+def right_lw_derivative(u: Field, alpha: float) -> ComplexPair:
     """Right-sided fractional derivative, symbol ``(-i w)^alpha``."""
-    a = as_order(alpha)
+    a = _check_alpha(alpha)
     out = _apply_symbol(u, _one_sided_symbol(u.grid, a, -1.0))
     return ComplexPair(Field(u.grid, out.real), Field(u.grid, out.imag))
 
 
-def composed_operator(u: Field, alpha: OrderLike) -> Field:
+def composed_operator(u: Field, alpha: float) -> Field:
     """Right-after-left composition with the real even symbol ``|w|^(2 alpha)``.
 
     This is the exact operator of the weak form and the energy; no Nyquist
     zeroing is applied because the even symbol is well defined there.
     """
-    a = as_order(alpha)
+    a = _check_alpha(alpha)
     sym = np.abs(u.grid.w) ** (2.0 * a)
     return Field(u.grid, np.real(_apply_symbol(u, sym)))
 

@@ -43,11 +43,6 @@ from .problem import Potential, Problem
 from .spaces import inner_product_X
 
 __all__ = [
-    "FiberingReport",
-    "LevelEstimate",
-    "LevelComparison",
-    "ContinuityRow",
-    "ContinuityTable",
     "nehari_project",
     "level_c",
     "level_c_infinity",
@@ -81,7 +76,6 @@ class LevelEstimate:
 
     c: float
     minimizer: Field
-    method: str = "nehari_min"
     iterations: int = 0
     converged: bool = True
 
@@ -209,7 +203,6 @@ def level_c(
     return LevelEstimate(
         c=best.c,
         minimizer=best.u,
-        method="nehari_min",
         iterations=best.iterations,
         converged=best.converged,
     )
@@ -239,7 +232,6 @@ def compare_levels(
     prob: Problem,
     starts: Optional[Sequence[Field]] = None,
     cfg=None,
-    tol: float = LEVEL_TOL,
 ) -> LevelComparison:
     """Levels under two pointwise-ordered potentials; the larger potential
     cannot have the smaller level."""
@@ -253,7 +245,7 @@ def compare_levels(
         starts = [default_start(prob.grid)]
     c_a = level_c(prob.with_potential(V_a), starts, cfg=cfg).c
     c_b = level_c(prob.with_potential(V_b), starts, cfg=cfg).c
-    return LevelComparison(c_a=c_a, c_b=c_b, margin=c_a - c_b, ordered=c_a >= c_b - tol)
+    return LevelComparison(c_a=c_a, c_b=c_b, margin=c_a - c_b, ordered=c_a >= c_b - LEVEL_TOL)
 
 
 @dataclass(frozen=True)
@@ -277,7 +269,6 @@ def continuity_sweep(
     prob: Problem,
     starts: Optional[Sequence[Field]] = None,
     cfg=None,
-    tol: float = LEVEL_TOL,
 ) -> ContinuityTable:
     """Levels of the shifted potentials V + eps.
 
@@ -300,7 +291,7 @@ def continuity_sweep(
         rows.append(ContinuityRow(eps=eps, c=est.c, iterations=est.iterations))
 
     cs = [r.c for r in rows]
-    monotone = all(b >= a - tol for a, b in zip(cs, cs[1:]))
+    monotone = all(b >= a - LEVEL_TOL for a, b in zip(cs, cs[1:]))
     moduli = [abs(r.c - base.c) for r in rows if r.eps > 0.0]
     moduli_decreasing = all(b >= a for a, b in zip(moduli, moduli[1:]))
     return ContinuityTable(rows=tuple(rows), c_base=base.c, monotone=monotone,

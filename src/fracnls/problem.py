@@ -31,18 +31,15 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .exceptions import ConfigurationError, HypothesisError
-from .grid import Grid, make_grid
+from .grid import Grid, _check_alpha, make_grid
 
 __all__ = [
     "Nonlinearity",
     "Potential",
     "Problem",
-    "CheckResult",
-    "ValidationReport",
     "power_nonlinearity",
     "custom_nonlinearity",
     "validate_nonlinearity",
-    "growth_bound_check",
     "validate_potential",
     "make_problem",
     "problem_from_config",
@@ -52,6 +49,12 @@ __all__ = [
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _GL_S = 0.5 * (_GL_NODES + 1.0)
 _GL_W = 0.5 * _GL_WEIGHTS
+
+# the sample on which the nonlinearity hypotheses are checked
+_XI = np.logspace(-6.0, 3.0, 400)
+
+# the outer fraction of the window that stands in for infinity in (V2)/(V3)
+_EDGE_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -166,19 +169,13 @@ class ValidationReport:
             raise HypothesisError(msg)
 
 
-def _sample_xi(sample_count: int) -> np.ndarray:
-    if sample_count < 100:
-        raise ConfigurationError(f"sample_count must be >= 100, got {sample_count}")
-    return np.logspace(-6.0, 3.0, int(sample_count))
-
-
-def validate_nonlinearity(nl: Nonlinearity, sample_count: int = 400) -> ValidationReport:
+def validate_nonlinearity(nl: Nonlinearity) -> ValidationReport:
     """Check (f0)-(f3) on a log-spaced sample of ``xi in [1e-6, 1e3]``.
 
     Sampled validation, not proof: each check reports the first violating
     sample point when it fails.
     """
-    xi = _sample_xi(sample_count)
+    xi = _XI
     checks = []
 
     neg = nl.f(-xi)
@@ -239,36 +236,6 @@ def validate_nonlinearity(nl: Nonlinearity, sample_count: int = 400) -> Validati
         checks.append(CheckResult("f3", True, f"f/xi^p0 decreasing on the tail, last value {s[-1]:.3e}"))
 
     return ValidationReport(all(c.passed for c in checks), tuple(checks))
-
-
-def growth_bound_check(
-    nl: Nonlinearity, epsilon: float, p0: Optional[float] = None, sample_count: int = 400
-) -> float:
-    """Smallest sampled constant with ``f(xi) <= epsilon*xi + C * xi^p0``.
-
-    Also verifies the integrated version ``F(xi) <= (epsilon/2) xi^2 +
-    (C/(p0+1)) xi^(p0+1)`` on the same sample.  ``p0`` defaults to the
-    nonlinearity's own growth exponent; it may be overridden by any exponent
-    for which the ratio stays bounded (for the power family, any p0 >= p).
-    """
-    if epsilon <= 0.0:
-        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-    q = nl.p0 if p0 is None else float(p0)
-    xi = _sample_xi(sample_count)
-    excess = nl.f(xi) - epsilon * xi
-    ratio = excess / xi**q
-    C = float(max(np.max(ratio), 0.0))
-    if not np.isfinite(C):
-        raise HypothesisError(f"f(xi) - epsilon*xi grows faster than xi^{q} on the sample")
-    bound_F = 0.5 * epsilon * xi**2 + (C / (q + 1.0)) * xi ** (q + 1.0)
-    slack = 1e-10 * np.maximum(bound_F, 1e-300)
-    viol = np.flatnonzero(nl.F(xi) > bound_F + slack)
-    if viol.size:
-        i = int(viol[0])
-        raise HypothesisError(
-            f"integrated growth bound fails at xi={xi[i]:.3e}: F={nl.F(xi[i : i + 1])[0]:.6e} > {bound_F[i]:.6e}"
-        )
-    return C
 
 
 class Potential:
@@ -413,29 +380,12 @@ class Potential:
         f = self.func
         return Potential(func=lambda t, _f=f, _e=eps: _f(t) + _e, **kw)
 
-    def config_dict(self) -> dict:
-        """Serializable form; callables are rejected."""
-        if self.func is not None:
-            raise ConfigurationError("callable potentials cannot be serialized to config")
-        d = {"V0": self.V0, "Vinf": self.V_inf}
-        if self.expr is not None:
-            d["expr"] = self.expr
-        else:
-            d["table"] = [float(v) for v in self.table]
-        d["flags"] = {
-            "radial_increasing": self.radial_increasing,
-            "below_Vinf": self.below_Vinf,
-        }
-        return d
 
-
-def validate_potential(
-    V: Potential, grid: Grid, edge_fraction: float = 0.1, edge_tol: float = 0.05
-) -> ValidationReport:
+def validate_potential(V: Potential, grid: Grid, edge_tol: float = 0.05) -> ValidationReport:
     """Check (V1)-(V5) on the grid.
 
-    The liminf condition is proxied by the outer ``edge_fraction`` of the
-    window: the minimum of V there must sit within ``edge_tol`` of V_inf.
+    The liminf condition is proxied by the outer tenth of the window: the
+    minimum of V there must sit within ``edge_tol`` of V_inf.
     The proxy tolerance is config, not physics; slowly decaying tails need a
     looser value.
     """
@@ -448,14 +398,14 @@ def validate_potential(
                     f"min V = {m:.6g} against floor V0 = {V.V0:.6g}", margin=m - V.V0)
     )
 
-    n_edge = max(int(edge_fraction * grid.N / 2), 1)
+    n_edge = max(int(_EDGE_FRACTION * grid.N / 2), 1)
     edge = np.concatenate([vals[:n_edge], vals[-n_edge:]])
     edge_min = float(np.min(edge))
     checks.append(
         CheckResult(
             "V2/V3",
             edge_min >= V.V_inf - edge_tol,
-            f"outer-{edge_fraction:.0%} min V = {edge_min:.6g} against V_inf = {V.V_inf:.6g} (tol {edge_tol})",
+            f"outer-{_EDGE_FRACTION:.0%} min V = {edge_min:.6g} against V_inf = {V.V_inf:.6g} (tol {edge_tol})",
             margin=edge_min - (V.V_inf - edge_tol),
         )
     )
@@ -503,22 +453,21 @@ class Problem:
     alpha: float
     nonlinearity: Nonlinearity
     potential: Potential
-    V_values: np.ndarray = dc_field(repr=False, default=None)
+    V_values: np.ndarray = dc_field(init=False, repr=False, compare=False)
     symbol: np.ndarray = dc_field(init=False, repr=False, compare=False)
     dirichlet_weights: np.ndarray = dc_field(init=False, repr=False, compare=False)
     precond: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (0.5 < self.alpha <= 1.0):
-            raise ConfigurationError(f"alpha must lie in (1/2, 1], got {self.alpha}")
-        vals = self.potential.on(self.grid) if self.V_values is None else np.asarray(self.V_values)
+        _check_alpha(self.alpha)
+        vals = self.potential.on(self.grid)
         g = self.grid
         half = g.N // 2 + 1
         symbol = np.abs(g.w[:half]) ** (2.0 * self.alpha)  # w[N/2] is the Nyquist mode
         multiplicity = np.full(half, 2.0)
         multiplicity[[0, -1]] = 1.0
         cached = {
-            "V_values": vals.copy(),
+            "V_values": vals,
             "symbol": symbol,
             "dirichlet_weights": (g.dx / g.N) * multiplicity * symbol,
             "precond": 1.0 / (symbol + float(np.max(vals))),
@@ -551,15 +500,31 @@ def make_problem(
 
 
 def config_number(value, key: str, cast=float):
-    """``cast(value)``; a value cast cannot read is a ConfigurationError naming
-    the dotted config ``key``."""
+    """``cast(value)``; a value cast cannot read, or an integer with a fractional
+    part, is a ConfigurationError naming the dotted config ``key``."""
     try:
-        return cast(value)
-    except (TypeError, ValueError) as e:
+        number = cast(value)
+        if cast is int and number != float(value):
+            raise ValueError("it has a fractional part")
+        return number
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigurationError(f"config key {key!r} cannot be read from {value!r}: {e}") from None
 
 
-def problem_from_config(cfg: dict, validate: bool = True) -> Problem:
+def config_section(cfg: dict, key: str, known: tuple, prefix: str = "") -> dict:
+    """The object ``cfg[key]`` (empty when absent); a non-object, or a key
+    outside ``known``, is a ConfigurationError naming the dotted config key."""
+    section = cfg.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"config key {prefix + key!r} must be an object, got {section!r}")
+    for k, v in section.items():
+        if k not in known:
+            raise ConfigurationError(
+                f"unknown config key {prefix + key + '.' + k!r} (set to {v!r}); choose from {known}")
+    return section
+
+
+def problem_from_config(cfg: dict) -> Problem:
     """Build a problem from the structured config mapping.
 
     Recognized keys: ``alpha``, ``L``, ``N``, ``nonlinearity {kind, p, p0}``,
@@ -582,10 +547,13 @@ def problem_from_config(cfg: dict, validate: bool = True) -> Problem:
     nl = power_nonlinearity(need(nl_cfg, "p", "nonlinearity."), p0)
     V0 = need(pot_cfg, "V0", "potential.")
     V_inf = need(pot_cfg, "Vinf", "potential.")
-    flags = {}
-    if "flags" in pot_cfg:
-        flags = {k: bool(pot_cfg["flags"].get(k, False))
-                 for k in ("radial_increasing", "below_Vinf")}
+    names = ("radial_increasing", "below_Vinf")
+    given = config_section(pot_cfg, "flags", names, "potential.")
+    for k, v in given.items():
+        if not isinstance(v, bool):
+            raise ConfigurationError(f"config key 'potential.flags.{k}' must be true or false, got {v!r}")
+    # a flags section, even a partial one, turns the flags it does not name off
+    flags = {k: given.get(k, False) for k in names} if "flags" in pot_cfg else {}
     if "expr" in pot_cfg:
         pot = Potential(expr=str(pot_cfg["expr"]), V0=V0, V_inf=V_inf, **flags)
     elif "table" in pot_cfg:
@@ -596,5 +564,5 @@ def problem_from_config(cfg: dict, validate: bool = True) -> Problem:
         pot = Potential.constant(V0, **flags)
     else:
         raise ConfigurationError("potential config needs 'expr' or 'table' when V0 != Vinf")
-    return make_problem(grid, alpha, nl, pot, validate=validate,
+    return make_problem(grid, alpha, nl, pot,
                         edge_tol=config_number(cfg.get("edge_tol", 0.05), "edge_tol"))

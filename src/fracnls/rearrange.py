@@ -17,25 +17,25 @@ defect instead of asserting exact evenness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .exceptions import AdmissibilityError
-from .grid import Field, OrderLike
-from .problem import Potential, Problem
+from .grid import Field
+from .problem import Potential
 from .spaces import l2_norm, seminorm_alpha
 
 __all__ = [
-    "RearrangementReport",
-    "PolyaSzegoResult",
-    "PotentialMonotonicityResult",
-    "LayerCakeResult",
     "rearrange",
+    "rearrange_values",
     "polya_szego_check",
     "potential_monotonicity_check",
     "layer_cake_check",
 ]
+
+
+_PS_SLACK = 1e-9  # relative slack of polya_szego_check
+_THRESHOLDS = 50  # superlevel thresholds at which layer_cake_check compares counts
 
 
 def _center_out_order(N: int) -> np.ndarray:
@@ -58,19 +58,15 @@ def rearrange_values(values: np.ndarray) -> np.ndarray:
 class RearrangementReport:
     u_star: Field
     lp_drift: dict
-    potential_gain: float
-    seminorm_gain: float
 
 
-def rearrange(u: Field, prob: Optional[Problem] = None) -> RearrangementReport:
-    """Rearrange a field; gains are filled when a problem context is given.
+def rearrange(u: Field) -> RearrangementReport:
+    """Rearrange a field.
 
     ``lp_drift[q]`` is the relative change of the L^q norm, zero up to
-    summation roundoff because the value multiset is untouched.
-    ``seminorm_gain`` is ``|u|_alpha^2 - |u*|_alpha^2`` (nonnegative by the
-    fractional Polya-Szego inequality) and ``potential_gain`` is
-    ``integral V u^2 - integral V u*^2`` (nonnegative for radial increasing
-    V); both are reported as NaN without context.
+    summation roundoff because the value multiset is untouched.  The gains
+    of the seminorm and of the potential term are
+    ``polya_szego_check(...).margin`` and ``potential_monotonicity_check``.
     """
     g = u.grid
     star = Field(g, rearrange_values(u.values))
@@ -80,20 +76,7 @@ def rearrange(u: Field, prob: Optional[Problem] = None) -> RearrangementReport:
         a = (g.dx * np.sum(np.abs(u.values) ** q)) ** (1.0 / q)
         b = (g.dx * np.sum(star.values**q)) ** (1.0 / q)
         drift[q] = 0.0 if a == 0.0 else abs(a - b) / a
-
-    potential_gain = float("nan")
-    seminorm_gain = float("nan")
-    if prob is not None:
-        seminorm_gain = seminorm_alpha(u, prob.alpha) ** 2 - seminorm_alpha(star, prob.alpha) ** 2
-        if prob.potential.radial_increasing:
-            V = prob.V_values
-            potential_gain = float(
-                g.dx * np.sum(V * u.values**2) - g.dx * np.sum(V * star.values**2)
-            )
-
-    return RearrangementReport(
-        u_star=star, lp_drift=drift, potential_gain=potential_gain, seminorm_gain=seminorm_gain
-    )
+    return RearrangementReport(u_star=star, lp_drift=drift)
 
 
 @dataclass(frozen=True)
@@ -104,7 +87,7 @@ class PolyaSzegoResult:
     satisfied: bool
 
 
-def polya_szego_check(u: Field, alpha: OrderLike, slack_rel: float = 1e-9) -> PolyaSzegoResult:
+def polya_szego_check(u: Field, alpha: float) -> PolyaSzegoResult:
     """Rearrangement must not increase the fractional seminorm.
 
     lhs = |u*|_alpha^2, rhs = |u|_alpha^2; satisfied when lhs <= rhs plus a
@@ -116,7 +99,7 @@ def polya_szego_check(u: Field, alpha: OrderLike, slack_rel: float = 1e-9) -> Po
     rhs = seminorm_alpha(u, alpha) ** 2
     lhs = seminorm_alpha(star, alpha) ** 2
     return PolyaSzegoResult(
-        lhs=lhs, rhs=rhs, margin=rhs - lhs, satisfied=bool(lhs <= rhs + slack_rel * rhs)
+        lhs=lhs, rhs=rhs, margin=rhs - lhs, satisfied=bool(lhs <= rhs + _PS_SLACK * rhs)
     )
 
 
@@ -152,7 +135,7 @@ class LayerCakeResult:
     levels: int
 
 
-def layer_cake_check(u: Field, levels: int = 1000, thresholds: int = 50) -> LayerCakeResult:
+def layer_cake_check(u: Field, levels: int = 1000) -> LayerCakeResult:
     """Reconstruct a nonnegative field from its level-set indicators.
 
     The midpoint Riemann sum over ``levels`` slices reproduces u with max
@@ -174,7 +157,7 @@ def layer_cake_check(u: Field, levels: int = 1000, thresholds: int = 50) -> Laye
     deviation = float(np.max(np.abs(recon - vals)))
 
     star = rearrange_values(vals)
-    sample = np.linspace(0.0, top, thresholds + 2)[1:-1]
+    sample = np.linspace(0.0, top, _THRESHOLDS + 2)[1:-1]
     counts_equal = all(
         int(np.sum(vals > tt)) == int(np.sum(star > tt)) for tt in sample
     )

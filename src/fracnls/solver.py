@@ -48,12 +48,9 @@ from .rearrange import rearrange as _rearrange
 from .spaces import l2_norm
 
 __all__ = [
-    "Backtracking",
     "GaussianBump",
     "SolverConfig",
     "GroundStateReport",
-    "GapVerdict",
-    "SymmetryReport",
     "default_start",
     "random_starts",
     "ground_state",
@@ -63,16 +60,14 @@ __all__ = [
 ]
 
 
+# Armijo backtracking from the full step t = 1 on every iteration, because the
+# preconditioned Hessian's high-frequency eigenvalues are near 1 (item 3 above):
+# a rejected trial shrinks t by _BETA, and a trial is accepted when its
+# projected energy is at most E - _C1 * t * <g, d>.
+_BETA = 0.5
+_C1 = 1e-4
 # the step below which the line search counts as collapsed
 _T_MIN = 1e-16
-
-
-@dataclass(frozen=True)
-class Backtracking:
-    """Armijo line search from the full step t = 1 on every iteration."""
-
-    beta: float = 0.5
-    c1: float = 1e-4
 
 
 @dataclass(frozen=True)
@@ -89,7 +84,6 @@ Start = Union[GaussianBump, Field]
 class SolverConfig:
     max_iters: int = 5000
     grad_tol: float = 1e-6
-    step_rule: Backtracking = dc_field(default_factory=Backtracking)
     start: Start = dc_field(default_factory=GaussianBump)
 
     def __post_init__(self) -> None:
@@ -182,7 +176,6 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None) -> GroundSta
     if not np.any(u0 > 0.0):
         raise AdmissibilityError("inadmissible start: no positive part")
 
-    rule = cfg.step_rule
     grid = prob.grid
     u0h = np.fft.rfft(u0)
     sigma, E = project_ray(u0, _x_product(prob, u0h, u0h, u0, u0), prob)[:2]
@@ -214,14 +207,14 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None) -> GroundSta
             try:
                 sigma, psi = project_ray(trial, Q - 2.0 * t * B + t * t * Qd, prob)[:2]
             except ProjectionError:
-                t *= rule.beta
+                t *= _BETA
                 continue
-            if psi <= E - rule.c1 * t * slope:
+            if psi <= E - _C1 * t * slope:
                 u = sigma * trial
                 E = psi
                 accepted = True
                 break
-            t *= rule.beta
+            t *= _BETA
         if not accepted:
             break  # line search collapsed; report non-convergence
         iterations += 1
@@ -272,7 +265,6 @@ def compare_c_to_c_infinity(
     prob: Problem,
     cfg: Optional[SolverConfig] = None,
     starts: Optional[Sequence[Field]] = None,
-    tol: float = LEVEL_TOL,
 ) -> GapVerdict:
     """Solve both problems and compare levels.
 
@@ -293,8 +285,8 @@ def compare_c_to_c_infinity(
         c=est.c,
         c_infinity=est_inf.c,
         gap=gap,
-        attained_signature=bool(gap > tol),
-        tol=tol,
+        attained_signature=bool(gap > LEVEL_TOL),
+        tol=LEVEL_TOL,
     )
 
 

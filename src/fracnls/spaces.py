@@ -13,17 +13,15 @@ involving the potential are computed physical side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .exceptions import AdmissibilityError
-from .grid import Field, OrderLike, as_order
+from .grid import Field, _check_alpha
 from .problem import Potential
 
 __all__ = [
-    "NormReport",
     "seminorm_alpha",
     "l2_norm",
     "sup_norm",
@@ -31,7 +29,6 @@ __all__ = [
     "inner_product_X",
     "norm_X",
     "embedding_ratio",
-    "norm_report",
 ]
 
 PotentialLike = Union[Potential, np.ndarray, float]
@@ -43,9 +40,9 @@ def _potential_values(u: Field, V: PotentialLike) -> np.ndarray:
     return np.broadcast_to(np.asarray(V, dtype=float), (u.grid.N,))
 
 
-def seminorm_alpha(u: Field, alpha: OrderLike) -> float:
+def seminorm_alpha(u: Field, alpha: float) -> float:
     """Frequency-side seminorm ``(integral |w|^(2 alpha) |u_hat|^2 / 2 pi)^(1/2)``."""
-    a = as_order(alpha)
+    a = _check_alpha(alpha)
     g = u.grid
     spec2 = np.abs(np.fft.fft(u.values)) ** 2
     return float(np.sqrt(g.dx / g.N * np.sum(np.abs(g.w) ** (2.0 * a) * spec2)))
@@ -59,12 +56,12 @@ def sup_norm(u: Field) -> float:
     return float(np.max(np.abs(u.values)))
 
 
-def norm_alpha(u: Field, alpha: OrderLike) -> float:
+def norm_alpha(u: Field, alpha: float) -> float:
     """Full fractional Sobolev norm, ``(l2^2 + seminorm^2)^(1/2)``."""
     return float(np.hypot(l2_norm(u), seminorm_alpha(u, alpha)))
 
 
-def inner_product_X(u: Field, v: Field, alpha: OrderLike, V: PotentialLike) -> float:
+def inner_product_X(u: Field, v: Field, alpha: float, V: PotentialLike) -> float:
     """Weighted inner product: fractional Dirichlet part plus ``integral V u v``.
 
     The Dirichlet part is evaluated frequency side through the real symbol
@@ -72,7 +69,7 @@ def inner_product_X(u: Field, v: Field, alpha: OrderLike, V: PotentialLike) -> f
     """
     if u.grid is not v.grid and (u.grid.N != v.grid.N or u.grid.L != v.grid.L):
         raise AdmissibilityError("fields live on different grids")
-    a = as_order(alpha)
+    a = _check_alpha(alpha)
     g = u.grid
     fu = np.fft.fft(u.values)
     fv = np.fft.fft(v.values)
@@ -81,37 +78,14 @@ def inner_product_X(u: Field, v: Field, alpha: OrderLike, V: PotentialLike) -> f
     return float(dirichlet + weight)
 
 
-def norm_X(u: Field, alpha: OrderLike, V: PotentialLike) -> float:
+def norm_X(u: Field, alpha: float, V: PotentialLike) -> float:
     return float(np.sqrt(max(inner_product_X(u, u, alpha, V), 0.0)))
 
 
-def embedding_ratio(u: Field, alpha: OrderLike) -> float:
+def embedding_ratio(u: Field, alpha: float) -> float:
     """The ratio ``sup |u| / norm_alpha(u)``, an empirical probe of the
     continuous-embedding constant.  The constant is measured, never assumed."""
     na = norm_alpha(u, alpha)
     if na == 0.0:
         raise AdmissibilityError("embedding ratio of the zero field is undefined")
     return sup_norm(u) / na
-
-
-@dataclass(frozen=True)
-class NormReport:
-    """All norms of one field in one place."""
-
-    l2: float
-    seminorm_alpha: float
-    norm_alpha: float
-    norm_X: float
-    sup_norm: float
-
-
-def norm_report(u: Field, alpha: OrderLike, V: PotentialLike) -> NormReport:
-    l2 = l2_norm(u)
-    semi = seminorm_alpha(u, alpha)
-    return NormReport(
-        l2=l2,
-        seminorm_alpha=semi,
-        norm_alpha=float(np.hypot(l2, semi)),
-        norm_X=norm_X(u, alpha, V),
-        sup_norm=sup_norm(u),
-    )

@@ -30,17 +30,24 @@ from .solver import (
     ground_state,
     symmetry_diagnostic,
 )
-from .spaces import inner_product_X, l2_norm, norm_alpha, seminorm_alpha, sup_norm
+from .spaces import (embedding_ratio, inner_product_X, l2_norm, norm_alpha, seminorm_alpha,
+                     sup_norm)
 
 __all__ = ["SUITES", "run_suite"]
 
 
-def _random_field(grid, rng, band_fraction=0.25):
-    # smooth random field: random spectrum damped beyond a band
-    cutoff = int(band_fraction * grid.N / 2)
-    coef = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
-    keep = np.abs(grid.k) <= cutoff
-    vals = np.real(np.fft.ifft(coef * keep)) * grid.N / max(cutoff, 1)
+def random_field(grid, rng, band_fraction=0.25):
+    """Band-limited real field with O(1) amplitude; smooth enough that
+    spectral quantities sit far above roundoff."""
+    spec = np.zeros(grid.N, dtype=complex)
+    kmax = max(2, int(band_fraction * grid.N / 2))
+    ks = np.arange(1, kmax)
+    amp = rng.standard_normal(ks.shape) / (1.0 + ks)
+    phase = rng.uniform(0.0, 2.0 * np.pi, ks.shape)
+    spec[ks] = amp * np.exp(1j * phase)
+    spec[-ks] = np.conj(spec[ks])
+    spec[0] = rng.standard_normal() * 0.1
+    vals = np.real(np.fft.ifft(spec)) * grid.N / np.sqrt(grid.N)
     return Field(grid, vals)
 
 
@@ -53,7 +60,7 @@ def suite_spectral(seed: int = 0) -> list:
     g = make_grid(20.0, 512)
     out = []
 
-    u = _random_field(g, rng)
+    u = random_field(g, rng)
     back = inverse_transform(g, forward_transform(u))
     err = l2_norm(Field(g, back.values - u.values)) / l2_norm(u)
     out.append(_result("transform round trip", err <= 1e-12, f"relative error {err:.3e}"))
@@ -65,7 +72,7 @@ def suite_spectral(seed: int = 0) -> list:
     err = float(np.max(np.abs(spec - expected))) / g.L
     out.append(_result("pure mode transforms to L at k = +-1", err <= 1e-12, f"max deviation {err:.3e}"))
 
-    u = _random_field(g, rng)
+    u = random_field(g, rng)
     phys = integrate(Field(g, u.values**2))
     freq = float(np.sum(np.abs(forward_transform(u)) ** 2)) / (2.0 * g.L)
     err = abs(phys - freq) / phys
@@ -104,7 +111,7 @@ def suite_spaces(seed: int = 0) -> list:
 
     worst = 0.0
     for _ in range(20):
-        u = _random_field(g, rng)
+        u = random_field(g, rng)
         freq = seminorm_alpha(u, alpha) ** 2
         phys = integrate(Field(g, u.values * composed_operator(u, alpha).values))
         worst = max(worst, abs(freq - phys) / freq)
@@ -116,7 +123,7 @@ def suite_spaces(seed: int = 0) -> list:
     ok = True
     worst = np.inf
     for _ in range(10):
-        u = _random_field(g, rng)
+        u = random_field(g, rng)
         lhs = inner_product_X(u, u, alpha, V)
         rhs = min(1.0, V.V0) * norm_alpha(u, alpha) ** 2
         worst = min(worst, lhs - rhs)
@@ -125,7 +132,7 @@ def suite_spaces(seed: int = 0) -> list:
 
     ok = True
     for _ in range(10):
-        u = _random_field(g, rng)
+        u = random_field(g, rng)
         for q in (3, 4, 6):
             lq = integrate(Field(g, np.abs(u.values) ** q))
             bound = sup_norm(u) ** (q - 2) * l2_norm(u) ** 2
@@ -134,10 +141,9 @@ def suite_spaces(seed: int = 0) -> list:
 
     # refinement only sharpens the sampled sup, so the ratio moves by the
     # sub-cell interpolation error, a few percent at most for banded fields
-    u = _random_field(g, rng)
-    r0 = sup_norm(u) / norm_alpha(u, alpha)
-    fine = refine_field(u, 2)
-    r1 = sup_norm(fine) / norm_alpha(fine, alpha)
+    u = random_field(g, rng)
+    r0 = embedding_ratio(u, alpha)
+    r1 = embedding_ratio(refine_field(u, 2), alpha)
     drift = abs(r1 - r0) / r0
     out.append(_result("embedding ratio stable under refinement", drift <= 0.05,
                        f"ratio {r0:.6f}, refined drift {drift:.3e}"))
@@ -163,7 +169,7 @@ def suite_nehari(seed: int = 0) -> list:
     worst = 0.0
     residual_worst = 0.0
     for _ in range(20):
-        u = _random_field(g, rng)
+        u = random_field(g, rng)
         if not np.any(u.values > 0.0):
             continue
         rep = nehari_project(u, prob)
@@ -177,7 +183,7 @@ def suite_nehari(seed: int = 0) -> list:
     out.append(_result("projected point sits on the manifold", residual_worst <= 1e-10,
                        f"worst scaled residual {residual_worst:.3e}"))
 
-    u = _random_field(g, rng)
+    u = random_field(g, rng)
     base = nehari_project(u, prob).sigma_u
     ok = True
     for lam in (0.5, 2.0, 10.0):
@@ -186,7 +192,7 @@ def suite_nehari(seed: int = 0) -> list:
     out.append(_result("projection depends only on the ray", ok, "lambda in {0.5, 2, 10}"))
 
     sigma_grid = np.logspace(-3, 3, 200)
-    u = _random_field(g, rng)
+    u = random_field(g, rng)
     rep = nehari_project(u, prob)
     psi = np.array([evaluate_I(Field(g, s * u.values), prob).total for s in sigma_grid])
     ok = bool(np.all(psi <= rep.psi_max + 1e-12 * max(abs(rep.psi_max), 1.0)))
@@ -209,7 +215,7 @@ def suite_rearrange(seed: int = 0) -> list:
     g = make_grid(20.0, 512)
     out = []
 
-    u = _random_field(g, rng)
+    u = random_field(g, rng)
     rep = rearrange(u)
     worst = max(rep.lp_drift.values())
     out.append(_result("rearrangement preserves L^q masses", worst <= 1e-12,
@@ -239,7 +245,7 @@ def suite_rearrange(seed: int = 0) -> list:
     fields = 0
     for a in (0.6, 0.75, 0.9):
         for _ in range(100):
-            u = _random_field(g, rng)
+            u = random_field(g, rng)
             fields += 1
             if not polya_szego_check(u, a).satisfied:
                 violations += 1

@@ -8,25 +8,11 @@ from fracnls import (
     make_problem,
     power_nonlinearity,
 )
+from fracnls.verify import random_field
 
 # well potential used throughout: even, nondecreasing in |t|, strictly
 # below its limit 2 everywhere
 WELL_EXPR = "2.0 - 1.0/(1.0 + t**2)"
-
-
-def random_field(grid, rng, band_fraction=0.25):
-    """Band-limited real field with O(1) amplitude; smooth enough that
-    spectral quantities sit far above roundoff."""
-    spec = np.zeros(grid.N, dtype=complex)
-    kmax = max(2, int(band_fraction * grid.N / 2))
-    ks = np.arange(1, kmax)
-    amp = rng.standard_normal(ks.shape) / (1.0 + ks)
-    phase = rng.uniform(0.0, 2.0 * np.pi, ks.shape)
-    spec[ks] = amp * np.exp(1j * phase)
-    spec[-ks] = np.conj(spec[ks])
-    spec[0] = rng.standard_normal() * 0.1
-    vals = np.real(np.fft.ifft(spec)) * grid.N / np.sqrt(grid.N)
-    return Field(grid, vals)
 
 
 def positive_field(grid, rng, band_fraction=0.25):

@@ -1,0 +1,87 @@
+"""The public surface of the package, pinned name by name.
+
+Adding or removing an export must update this list on purpose.
+"""
+
+import pytest
+
+import fracnls
+
+PUBLIC = [
+    "AdmissibilityError",
+    "ConfigurationError",
+    "Field",
+    "GaussianBump",
+    "Grid",
+    "GroundStateReport",
+    "HypothesisError",
+    "LEVEL_TOL",
+    "Nonlinearity",
+    "Potential",
+    "Problem",
+    "ProjectionError",
+    "SUITES",
+    "SolverConfig",
+    "__version__",
+    "check_nonnegativity",
+    "compare_c_to_c_infinity",
+    "compare_levels",
+    "composed_operator",
+    "continuity_sweep",
+    "custom_nonlinearity",
+    "default_start",
+    "embed_field",
+    "embedding_ratio",
+    "evaluate_I",
+    "forward_transform",
+    "gradient_I",
+    "ground_state",
+    "inner_product_X",
+    "integrate",
+    "inverse_transform",
+    "l2_norm",
+    "layer_cake_check",
+    "left_lw_derivative",
+    "level_c",
+    "level_c_infinity",
+    "make_grid",
+    "make_problem",
+    "nehari_project",
+    "norm_X",
+    "norm_alpha",
+    "polya_szego_check",
+    "potential_monotonicity_check",
+    "power_nonlinearity",
+    "problem_from_config",
+    "random_starts",
+    "rearrange",
+    "rearrange_values",
+    "refine_field",
+    "right_lw_derivative",
+    "run_suite",
+    "seminorm_alpha",
+    "sup_norm",
+    "symmetry_diagnostic",
+    "validate_nonlinearity",
+    "validate_potential",
+    "weak_residual_norm",
+]
+
+REMOVED = ["FractionalOrder", "as_order", "norm_report", "NormReport",
+           "growth_bound_check", "evaluate_I_infinity", "Backtracking"]
+
+
+def test_all_is_the_pinned_list():
+    assert len(PUBLIC) == 57
+    assert sorted(fracnls.__all__) == PUBLIC
+
+
+def test_every_listed_name_resolves():
+    for name in PUBLIC:
+        assert getattr(fracnls, name) is not None, name
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_name_not_importable(name):
+    with pytest.raises(ImportError):
+        exec(f"from fracnls import {name}", {})

@@ -314,6 +314,56 @@ class TestConfigErrors:
         assert code == 1
         assert f"'{section + '.' if section else ''}{key}'" in err
 
+    @pytest.mark.parametrize("section,key,value", [(None, "N", 64.5),
+                                                   ("solver", "max_iters", 50.9)])
+    def test_fractional_integer_named(self, tmp_path, capsys, section, key, value):
+        cfg = json.loads(json.dumps(CANON))
+        (cfg[section] if section else cfg)[key] = value
+        code, _, err = main_in_process(capsys, "ground-state", cfg, tmp_path)
+        assert code == 1
+        assert f"'{section + '.' if section else ''}{key}'" in err
+        assert "fractional part" in err
+        assert not list((tmp_path / "out").glob("*.json"))
+        assert not list((tmp_path / "out").glob("*.csv"))
+
+    def test_integral_float_accepted(self, tmp_path, capsys):
+        cfg = dict(CANON, N=64.0)
+        code, _, _ = main_in_process(capsys, "ground-state", cfg, tmp_path)
+        assert code == 0
+        assert (tmp_path / "out" / "canon_0.75_64.json").is_file()
+
+    def test_fractional_N_in_sweep_exits_one(self, tmp_path, capsys):
+        cfg = dict(CANON, sweep={"parameter": "N", "values": [64, 64.5]})
+        code, _, err = main_in_process(capsys, "sweep", cfg, tmp_path)
+        assert code == 1
+        assert "'sweep.values'" in err
+        assert not list((tmp_path / "out").glob("*.csv"))
+
+    @pytest.mark.parametrize("command,base,path,value,named", [
+        ("ground-state", CANON, ("solver", "start"), "centre", "'solver.start'"),
+        ("ground-state", CANON, ("solver", "gradtol"), 1e-12, "'solver.gradtol'"),
+        ("ground-state", WELL, ("potential", "flags"), True, "'potential.flags'"),
+        ("ground-state", BUMP, ("potential", "flags"), {"below_Vinf": "false"},
+         "'potential.flags.below_Vinf'"),
+        ("ground-state", WELL, ("potential", "flags"), {"radial": True},
+         "'potential.flags.radial'"),
+        ("sweep", WELL, ("sweep",), [0.0, 0.1], "'sweep'"),
+        ("sweep", WELL, ("sweep",), {"parameter": "epsilon", "values": 0.1},
+         "'sweep.values'"),
+    ], ids=["start-not-object", "unknown-solver-key", "flags-not-object", "string-flag",
+            "unknown-flag", "sweep-not-object", "values-not-list"])
+    def test_malformed_section_named(self, tmp_path, capsys, command, base, path, value,
+                                     named):
+        cfg = json.loads(json.dumps(base))
+        section = cfg
+        for k in path[:-1]:
+            section = section[k]
+        section[path[-1]] = value
+        code, _, err = main_in_process(capsys, command, cfg, tmp_path)
+        assert code == 1
+        assert named in err
+        assert "Traceback" not in err
+
     def test_internal_value_error_propagates(self, tmp_path, capsys, monkeypatch):
         def broken(*args):
             raise ValueError("internal bug")

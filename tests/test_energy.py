@@ -11,8 +11,8 @@ import pytest
 from fracnls import (
     AdmissibilityError,
     Field,
+    Potential,
     evaluate_I,
-    evaluate_I_infinity,
     gradient_I,
     integrate,
     make_problem,
@@ -71,7 +71,8 @@ class TestEvaluate:
     def test_limit_functional_uses_constant(self, prob_well):
         rng = np.random.default_rng(44)
         u = random_field(prob_well.grid, rng)
-        b_inf = evaluate_I_infinity(u, prob_well)
+        flat = Potential.constant(prob_well.potential.V_inf)
+        b_inf = evaluate_I(u, prob_well.with_potential(flat))
         # V_inf = 2 > V: the limiting quadratic part dominates
         b = evaluate_I(u, prob_well)
         assert b_inf.potential_term > b.potential_term

@@ -12,7 +12,6 @@ from fracnls import (
     AdmissibilityError,
     ConfigurationError,
     Field,
-    FractionalOrder,
     composed_operator,
     embed_field,
     forward_transform,
@@ -73,12 +72,16 @@ class TestMakeGrid:
 class TestFractionalOrder:
     @pytest.mark.parametrize("a", [0.5, 0.49, 1.0001, 0.0, -0.75])
     def test_out_of_range(self, a):
-        with pytest.raises(ConfigurationError):
-            FractionalOrder(a)
+        u = Field(make_grid(10.0, 64), np.ones(64))
+        with pytest.raises(ConfigurationError, match=r"alpha must lie in \(1/2, 1\]"):
+            composed_operator(u, a)
 
     def test_accepts_boundary(self):
-        assert float(FractionalOrder(1.0)) == 1.0
-        assert float(FractionalOrder(0.51)) == 0.51
+        g = make_grid(10.0, 64)
+        u = Field(g, np.cos(np.pi * g.x / g.L))
+        for a in (1.0, 0.51):
+            out = composed_operator(u, a)
+            assert np.allclose(out.values, (np.pi / g.L) ** (2 * a) * u.values, atol=1e-12)
 
 
 class TestTransforms:

@@ -133,7 +133,6 @@ class TestLevels:
         ]
         est = level_c(prob512, starts, cfg=FAST)
         assert est.converged
-        assert est.method == "nehari_min"
         assert est.c == pytest.approx(evaluate_I(est.minimizer, prob512).total, rel=1e-12)
 
     def test_level_c_skips_inadmissible_starts(self, prob512):

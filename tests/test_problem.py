@@ -8,7 +8,6 @@ from fracnls import (
     HypothesisError,
     Potential,
     custom_nonlinearity,
-    growth_bound_check,
     make_grid,
     make_problem,
     power_nonlinearity,
@@ -81,20 +80,6 @@ class TestValidateNonlinearity:
         assert any("f3" in c.name for c in report.failures())
 
 
-class TestGrowthBound:
-    def test_cubic_constant_is_one(self):
-        # f = xi^3 <= eps xi + C xi^3 forces C -> 1 as the tail dominates
-        nl = power_nonlinearity(3.0)
-        C = growth_bound_check(nl, epsilon=0.1, p0=3.0)
-        assert C == pytest.approx(1.0, abs=1e-6)
-
-    def test_smaller_epsilon_larger_constant(self):
-        nl = power_nonlinearity(3.0)
-        c_loose = growth_bound_check(nl, epsilon=0.5, p0=3.0)
-        c_tight = growth_bound_check(nl, epsilon=0.01, p0=3.0)
-        assert c_tight >= c_loose
-
-
 class TestPotential:
     def test_constant(self):
         g = make_grid(10.0, 64)
@@ -151,18 +136,6 @@ class TestPotential:
         V = Potential.constant(1.0)
         with pytest.raises(ConfigurationError):
             V.shifted(-1.0)
-
-    def test_config_round_trip(self):
-        V = Potential.from_expr(WELL_EXPR, V0=1.0, V_inf=2.0,
-                                radial_increasing=True, below_Vinf=True)
-        d = V.config_dict()
-        assert d["expr"] == WELL_EXPR
-        assert d["flags"]["below_Vinf"] is True
-
-    def test_callable_not_serializable(self):
-        V = Potential.from_callable(lambda t: 1.0 + t * 0, V0=1.0, V_inf=1.0)
-        with pytest.raises(ConfigurationError):
-            V.config_dict()
 
 
 class TestValidatePotential:

@@ -7,6 +7,8 @@ stable under N doubling; both values pin the whole pipeline, not single
 modules.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from conftest import random_field
 
 from fracnls import (
     AdmissibilityError,
-    Backtracking,
     Field,
     GaussianBump,
     Potential,
@@ -52,13 +53,22 @@ class TestGroundState:
         rep = ground_state(prob512)
         assert rep.c == pytest.approx(evaluate_I(rep.u, prob512).total, rel=1e-12)
 
-    def test_classical_soliton_level(self, cubic, flat_potential):
-        # alpha = 1: -u'' + u = u^3 has u = sqrt(2) sech(x), I(u) = 4/3
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_classical_soliton_level(self, p, flat_potential):
+        # alpha = 1: -u'' + u = u^p has u = A sech^(2/(p-1))(B x) with
+        # A^(p-1) = (p+1)/2 and B = (p-1)/2; with m = 2(p+1)/(p-1),
+        # I(u) = (1/2 - 1/(p+1)) A^(p+1) sqrt(pi) Gamma(m/2) / (B Gamma((m+1)/2)),
+        # which is 4/3 at p = 3
+        A = ((p + 1) / 2) ** (1 / (p - 1))
+        B = (p - 1) / 2
+        m = 2 * (p + 1) / (p - 1)
+        exact = ((0.5 - 1 / (p + 1)) * A ** (p + 1) * math.sqrt(math.pi)
+                 * math.gamma(m / 2) / (B * math.gamma((m + 1) / 2)))
         g = make_grid(20.0, 512)
-        prob = make_problem(g, 1.0, cubic, flat_potential)
+        prob = make_problem(g, 1.0, power_nonlinearity(float(p)), flat_potential)
         rep = ground_state(prob)
         assert rep.converged
-        assert rep.c == pytest.approx(4.0 / 3.0, rel=1e-9)
+        assert rep.c == pytest.approx(exact, rel=1e-9)
 
     def test_converged_start_takes_zero_iterations(self, prob512):
         rep = ground_state(prob512)

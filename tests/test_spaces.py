@@ -15,9 +15,7 @@ from fracnls import (
     make_grid,
     norm_X,
     norm_alpha,
-    norm_report,
     seminorm_alpha,
-    sup_norm,
 )
 
 from conftest import WELL_EXPR, random_field
@@ -63,11 +61,13 @@ class TestNorms:
         expected = np.hypot(l2_norm(u), seminorm_alpha(u, 0.75))
         assert norm_alpha(u, 0.75) == pytest.approx(expected, rel=1e-14)
 
-    def test_norm_X_from_inner_product(self, grid512, well_potential):
+    def test_norm_X_from_inner_product(self, grid512, well_potential, flat_potential):
         rng = np.random.default_rng(12)
         u = random_field(grid512, rng)
         q = inner_product_X(u, u, 0.75, well_potential)
         assert norm_X(u, 0.75, well_potential) == pytest.approx(np.sqrt(q), rel=1e-13)
+        # with V = 1 the weighted norm collapses to the plain alpha norm
+        assert norm_X(u, 0.75, flat_potential) == pytest.approx(norm_alpha(u, 0.75), rel=1e-12)
 
     def test_inner_product_symmetric_bilinear(self, grid512, well_potential):
         rng = np.random.default_rng(13)
@@ -94,18 +94,6 @@ class TestNorms:
         for _ in range(10):
             u = random_field(grid512, rng)
             assert norm_X(u, 0.75, V) >= norm_alpha(u, 0.75) * (1.0 - 1e-12)
-
-    def test_norm_report_fields(self, grid512, flat_potential):
-        rng = np.random.default_rng(16)
-        u = random_field(grid512, rng)
-        rep = norm_report(u, 0.75, flat_potential)
-        assert rep.l2 == pytest.approx(l2_norm(u), rel=1e-14)
-        assert rep.seminorm_alpha == pytest.approx(seminorm_alpha(u, 0.75), rel=1e-14)
-        assert rep.norm_alpha == pytest.approx(norm_alpha(u, 0.75), rel=1e-14)
-        assert rep.norm_X == pytest.approx(norm_X(u, 0.75, flat_potential), rel=1e-14)
-        assert rep.sup_norm == pytest.approx(sup_norm(u), rel=1e-14)
-        # with V = 1 the weighted norm collapses to the plain alpha norm
-        assert rep.norm_X == pytest.approx(rep.norm_alpha, rel=1e-12)
 
 
 class TestEmbedding:
