@@ -500,9 +500,12 @@ def make_problem(
 
 
 def config_number(value, key: str, cast=float):
-    """``cast(value)``; a value cast cannot read, or an integer with a fractional
-    part, is a ConfigurationError naming the dotted config ``key``."""
+    """``cast(value)``; a JSON boolean, a value cast cannot read, or an integer
+    with a fractional part, is a ConfigurationError naming the dotted config
+    ``key``."""
     try:
+        if isinstance(value, bool):
+            raise TypeError("it is a boolean, not a number")
         number = cast(value)
         if cast is int and number != float(value):
             raise ValueError("it has a fractional part")
@@ -529,8 +532,10 @@ def problem_from_config(cfg: dict) -> Problem:
 
     Recognized keys: ``alpha``, ``L``, ``N``, ``nonlinearity {kind, p, p0}``,
     ``potential {expr | table, V0, Vinf, flags}``, and optional
-    ``edge_tol`` for the asymptotic proxy.  Unknown top-level keys are left
-    for the caller (solver and sweep settings live beside the problem).
+    ``edge_tol`` for the asymptotic proxy.  An unknown key inside
+    ``nonlinearity`` or ``potential`` is a ConfigurationError; unknown
+    top-level keys are left for the caller (solver and sweep settings live
+    beside the problem).
     """
     def need(section: dict, key: str, prefix: str = "", cast=float):
         if key not in section:
@@ -539,8 +544,8 @@ def problem_from_config(cfg: dict) -> Problem:
 
     grid = make_grid(need(cfg, "L"), need(cfg, "N", cast=int))
     alpha = need(cfg, "alpha")
-    nl_cfg = need(cfg, "nonlinearity", cast=dict)
-    pot_cfg = need(cfg, "potential", cast=dict)
+    nl_cfg = config_section(cfg, "nonlinearity", ("kind", "p", "p0"))
+    pot_cfg = config_section(cfg, "potential", ("expr", "table", "V0", "Vinf", "flags"))
     if nl_cfg.get("kind", "power") != "power":
         raise ConfigurationError("config files support the power nonlinearity only")
     p0 = need(nl_cfg, "p0", "nonlinearity.") if "p0" in nl_cfg else None

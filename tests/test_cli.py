@@ -364,6 +364,29 @@ class TestConfigErrors:
         assert named in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("section,value,named", [
+        ("potential", {"expresion": WELL_EXPR, "V0": 2.0, "Vinf": 2.0},
+         "'potential.expresion'"),
+        ("nonlinearity", {"kind": "power", "p": 3.0, "p_0": 9.0}, "'nonlinearity.p_0'"),
+    ], ids=["potential", "nonlinearity"])
+    def test_unknown_problem_key_named(self, tmp_path, capsys, section, value, named):
+        # dropped, the misspelt expr would leave the constant V = 2 to solve
+        cfg = dict(CANON, **{section: value})
+        code, _, err = main_in_process(capsys, "ground-state", cfg, tmp_path)
+        assert code == 1
+        assert named in err
+        assert not list((tmp_path / "out").glob("*.json"))
+
+    @pytest.mark.parametrize("section,key", [("solver", "max_iters"), (None, "alpha")])
+    def test_boolean_number_named(self, tmp_path, capsys, section, key):
+        # int(True) == 1, so an unchecked true would run one iteration
+        cfg = json.loads(json.dumps(CANON))
+        (cfg[section] if section else cfg)[key] = True
+        code, _, err = main_in_process(capsys, "ground-state", cfg, tmp_path)
+        assert code == 1
+        assert f"'{section + '.' if section else ''}{key}'" in err
+        assert "boolean" in err
+
     def test_internal_value_error_propagates(self, tmp_path, capsys, monkeypatch):
         def broken(*args):
             raise ValueError("internal bug")
