@@ -28,7 +28,8 @@ from . import __version__
 from .exceptions import AdmissibilityError, ConfigurationError, HypothesisError, ProjectionError
 from .grid import Field, embed_field, make_grid, refine_field
 from .nehari import level_c_infinity
-from .problem import Problem, config_number, config_section, problem_from_config
+from .problem import (NONLINEARITY_KEYS, Problem, config_number, config_section,
+                      problem_from_config)
 from .rearrange import polya_szego_check, rearrange
 from .solver import GaussianBump, GroundStateReport, SolverConfig, default_start, ground_state
 from .verify import SUITES, run_suite
@@ -271,8 +272,11 @@ def _sweep_point(task) -> dict:
     elif parameter in ("alpha", "L", "N"):
         cfg[parameter] = number
     elif parameter == "p":
-        cfg["nonlinearity"]["p"] = number
-        cfg["nonlinearity"].pop("p0", None)
+        # the swept p replaces p and the growth exponent set for the old one;
+        # an absent section reads as empty, as in problem_from_config
+        nl_cfg = dict(config_section(cfg, "nonlinearity", NONLINEARITY_KEYS), p=number)
+        nl_cfg.pop("p0", None)
+        cfg["nonlinearity"] = nl_cfg
     else:
         raise ConfigurationError(
             f"unknown sweep parameter {parameter!r}; choose from {_SWEEP_PARAMETERS}"

@@ -45,10 +45,17 @@ __all__ = [
     "problem_from_config",
 ]
 
-# nodes for F(xi) = xi * integral_0^1 f(xi*s) ds on the custom path
+# Gauss-Legendre rules on [0, 1] for the panels of the custom primitive: 8
+# nodes, exact to degree 15, on a narrow panel [a, b] (b <= 2a), whose error
+# for f(s) = s^q stays at roundoff; 64 nodes on a wide one, where f may be
+# nonsmooth near 0 (s^1.5 has an unbounded second derivative there).  The
+# first panel [0, x_(1)] is always wide.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _GL_S = 0.5 * (_GL_NODES + 1.0)
 _GL_W = 0.5 * _GL_WEIGHTS
+_PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_PANEL_S = 0.5 * (_PANEL_NODES + 1.0)
+_PANEL_W = 0.5 * _PANEL_WEIGHTS
 
 # the sample on which the nonlinearity hypotheses are checked
 _XI = np.logspace(-6.0, 3.0, 400)
@@ -62,8 +69,16 @@ class Nonlinearity:
     """The pair ``(f, F)`` with exponents ``(theta, p0)``.
 
     ``kind`` is ``"power"`` (``f(xi) = max(xi, 0)^p`` with closed-form
-    primitive) or ``"custom"`` (callable ``f`` with derivative, primitive by
-    Gauss-Legendre quadrature of ``F(xi) = xi * integral_0^1 f(xi s) ds``).
+    primitive) or ``"custom"`` (callable ``f`` with optional derivative).
+
+    The custom primitive ``F(xi) = integral_0^xi f`` is a composite
+    Gauss-Legendre rule over the sorted distinct positive values
+    ``x_(1) < ... < x_(M)`` of the input: one panel on ``[0, x_(1)]`` and one
+    on each gap ``[x_(k-1), x_(k)]``, with ``F(x_(k))`` the running sum of the
+    panels.  A gap no wider than its distance from 0 takes 8 nodes; a wider
+    one, and the first panel, take 64.  On a sampled continuous profile
+    nearly every gap is narrow, so ``f`` sees about ``8 M + 64`` points, all
+    strictly positive.  Nonpositive entries get exactly 0.
     """
 
     kind: str
@@ -107,14 +122,23 @@ class Nonlinearity:
 
     def F(self, xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
-        pos = np.maximum(xi, 0.0)
         if self.kind == "power":
+            pos = np.maximum(xi, 0.0)
             return pos ** (self.p + 1.0) / (self.p + 1.0)
-        # F(xi) = xi * sum_j w_j f(xi * s_j); exact for polynomial f up to
-        # degree 127, plenty for a primitive used inside an energy
-        prod = pos[..., None] * _GL_S
-        vals = self.f_callable(prod) * _GL_W
-        return np.where(xi > 0.0, pos * vals.sum(axis=-1), 0.0)
+        out = np.zeros(xi.shape)
+        positive = xi > 0.0
+        xs, back = np.unique(xi[positive], return_inverse=True)
+        edges = np.concatenate(([0.0], xs))
+        lo, width = edges[:-1], np.diff(edges)
+        wide = width > lo
+        panels = np.empty(xs.size)
+        for sel, nodes, weights in ((wide, _GL_S, _GL_W), (~wide, _PANEL_S, _PANEL_W)):
+            if np.any(sel):
+                # one column per panel: numpy's inner loops then run over the panels
+                x = lo[sel] + nodes[:, None] * width[sel]
+                panels[sel] = width[sel] * (weights @ self.f_callable(x))
+        out[positive] = np.cumsum(panels)[back]
+        return out
 
 
 def power_nonlinearity(p: float, p0: Optional[float] = None) -> Nonlinearity:
@@ -527,6 +551,10 @@ def config_section(cfg: dict, key: str, known: tuple, prefix: str = "") -> dict:
     return section
 
 
+# the keys of the config's nonlinearity section
+NONLINEARITY_KEYS = ("kind", "p", "p0")
+
+
 def problem_from_config(cfg: dict) -> Problem:
     """Build a problem from the structured config mapping.
 
@@ -544,7 +572,7 @@ def problem_from_config(cfg: dict) -> Problem:
 
     grid = make_grid(need(cfg, "L"), need(cfg, "N", cast=int))
     alpha = need(cfg, "alpha")
-    nl_cfg = config_section(cfg, "nonlinearity", ("kind", "p", "p0"))
+    nl_cfg = config_section(cfg, "nonlinearity", NONLINEARITY_KEYS)
     pot_cfg = config_section(cfg, "potential", ("expr", "table", "V0", "Vinf", "flags"))
     if nl_cfg.get("kind", "power") != "power":
         raise ConfigurationError("config files support the power nonlinearity only")

@@ -7,6 +7,8 @@ Thresholds here mirror the ones asserted in the test suite.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .energy import evaluate_I
@@ -290,6 +292,24 @@ def suite_theorems(seed: int = 0) -> list:
                        all(r.converged for r in reps) and max(gaps) <= 1e-10,
                        f"largest relative gap {max(gaps):.3e} over lambda = {lams[1:]}, "
                        f"iterations {[r.iterations for r in reps]}"))
+
+    # a = 1, V = 1: u = A sech^(2/(p-1))(B t) with A^(p-1) = (p+1)/2 and
+    # B = (p-1)/2, so with m = 2(p+1)/(p-1) the level is
+    # c = (1/2 - 1/(p+1)) A^(p+1) sqrt(pi) Gamma(m/2) / (B Gamma((m+1)/2))
+    gaps, iters, converged = [], [], True
+    for p in (2.0, 3.0, 4.0, 5.0):
+        A, B, m = ((p + 1) / 2) ** (1 / (p - 1)), (p - 1) / 2, 2 * (p + 1) / (p - 1)
+        exact = ((0.5 - 1 / (p + 1)) * A ** (p + 1) * math.sqrt(math.pi)
+                 * math.gamma(m / 2) / (B * math.gamma((m + 1) / 2)))
+        r = ground_state(make_problem(make_grid(20.0, 512), 1.0, power_nonlinearity(p),
+                                      Potential.constant(1.0)), cfg)
+        gaps.append(abs(r.c / exact - 1.0))
+        iters.append(r.iterations)
+        converged = converged and r.converged
+    out.append(_result("level at a = 1 matches the sech closed form",
+                       converged and max(gaps) <= 1e-9,
+                       f"largest relative gap {max(gaps):.3e} over p = 2, 3, 4, 5, "
+                       f"iterations {iters}"))
 
     from .nehari import continuity_sweep
 

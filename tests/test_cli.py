@@ -46,6 +46,8 @@ BUMP = {
     "sweep": {"parameter": "epsilon", "values": [0.0]},
 }
 
+P_SWEEP = dict(CANON, sweep={"parameter": "p", "values": [3.0]})
+
 EXPLOIT = "().__class__.__mro__[1].__subclasses__().__len__()"
 
 
@@ -201,6 +203,19 @@ class TestSweepCommand:
         assert code == 1
         assert named in err
 
+    def test_p_sweep_supplies_missing_nonlinearity(self, tmp_path, capsys):
+        bare = {k: v for k, v in P_SWEEP.items() if k != "nonlinearity"}
+        code, _, err = main_in_process(capsys, "ground-state", bare, tmp_path)
+        assert code == 1
+        assert "'nonlinearity.p'" in err
+        csvs = []
+        for name, cfg in (("bare", bare), ("full", P_SWEEP)):
+            (tmp_path / name).mkdir()
+            code, _, _ = main_in_process(capsys, "sweep", cfg, tmp_path / name)
+            assert code == 0
+            csvs.append((tmp_path / name / "out" / "canon_sweep_p.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
     def test_missing_sweep_section_exits_one(self, tmp_path):
         w = {k: v for k, v in WELL.items() if k != "sweep"}
         cfg = write_config(tmp_path / "w.json", w)
@@ -350,8 +365,11 @@ class TestConfigErrors:
         ("sweep", WELL, ("sweep",), [0.0, 0.1], "'sweep'"),
         ("sweep", WELL, ("sweep",), {"parameter": "epsilon", "values": 0.1},
          "'sweep.values'"),
+        ("ground-state", CANON, ("nonlinearity",), [3.0], "'nonlinearity'"),
+        ("sweep", P_SWEEP, ("nonlinearity",), [3.0], "'nonlinearity'"),
     ], ids=["start-not-object", "unknown-solver-key", "flags-not-object", "string-flag",
-            "unknown-flag", "sweep-not-object", "values-not-list"])
+            "unknown-flag", "sweep-not-object", "values-not-list", "nonlinearity-not-object",
+            "p-sweep-nonlinearity-not-object"])
     def test_malformed_section_named(self, tmp_path, capsys, command, base, path, value,
                                      named):
         cfg = json.loads(json.dumps(base))

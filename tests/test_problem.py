@@ -15,6 +15,7 @@ from fracnls import (
     validate_nonlinearity,
     validate_potential,
 )
+from fracnls.problem import _XI
 
 from conftest import WELL_EXPR
 
@@ -46,7 +47,81 @@ class TestNonlinearityConstruction:
     def test_custom_primitive_by_quadrature(self):
         nl = custom_nonlinearity(lambda s: s**3, theta=4.0, p0=3.5)
         xi = np.linspace(0.0, 3.0, 7)
-        assert np.allclose(nl.F(xi), xi**4 / 4.0, rtol=1e-13)
+        np.testing.assert_allclose(nl.F(xi), xi**4 / 4.0, rtol=1e-13, atol=0.0)
+
+
+def _counting(f):
+    """``f`` wrapped to record the number of points it is evaluated at."""
+    def wrapped(s):
+        wrapped.points += np.size(s)
+        return f(s)
+    wrapped.points = 0
+    return wrapped
+
+
+class TestCustomPrimitive:
+    """The custom ``F`` against closed forms, on every input shape it takes."""
+
+    # an off-centre profile: no two values tie, the tails decay exponentially,
+    # and one side dips below zero
+    _GRID = make_grid(20.0, 1024)
+    _PROFILE = 1.7 / np.cosh(_GRID.x - 0.3) ** 1.3 - 1e-3 * (_GRID.x < -15.0)
+
+    @pytest.mark.parametrize("f, F, rtol", [
+        (lambda s: s**3, lambda x: x**4 / 4.0, 1e-14),
+        (lambda s: s**3 + s**2, lambda x: x**4 / 4.0 + x**3 / 3.0, 1e-14),
+        (lambda s: s**2.5, lambda x: x**3.5 / 3.5, 1e-12),
+        # the 64-node rule's own error on [0, 1e-6]
+        (lambda s: s**1.5, lambda x: x**2.5 / 2.5, 1e-9),
+    ])
+    @pytest.mark.parametrize("xi", [_XI, _PROFILE, np.array([1e-3, 1.0]),
+                                    np.array([1e-8, 1e-4, 1.0])],
+                             ids=["sample", "profile", "wide-gap", "wide-gaps"])
+    def test_closed_forms(self, f, F, rtol, xi):
+        nl = custom_nonlinearity(f, theta=2.2, p0=5.0)
+        expected = np.where(xi > 0.0, F(np.maximum(xi, 0.0)), 0.0)
+        np.testing.assert_allclose(nl.F(xi), expected, rtol=rtol, atol=0.0)
+
+    def test_unsorted_ties_zeros_negatives(self):
+        nl = custom_nonlinearity(lambda s: s**3, theta=4.0, p0=3.5)
+        xi = np.array([2.0, -1.0, 0.5, 2.0, 0.0, 0.5, -3.0, 1.0, 1e-7])
+        got = nl.F(xi)
+        np.testing.assert_allclose(got, np.where(xi > 0.0, xi**4 / 4.0, 0.0), rtol=1e-14, atol=0.0)
+        assert got[0] == got[3] and got[2] == got[5]
+        assert np.all(got[[1, 4, 6]] == 0.0)
+
+    def test_any_shape(self):
+        nl = custom_nonlinearity(lambda s: s**3, theta=4.0, p0=3.5)
+        xi = np.array([2.0, -1.0, 0.5, 3.0, 0.0, 1.5])
+        assert np.array_equal(nl.F(xi.reshape(2, 3)), nl.F(xi).reshape(2, 3))
+        scalar = nl.F(np.float64(2.0))
+        assert scalar.shape == () and scalar == pytest.approx(4.0, rel=1e-14)
+        assert nl.F(0.0).shape == () and nl.F(0.0) == 0.0 and nl.F(-2.0) == 0.0
+
+    def test_all_nonpositive_never_calls_f(self):
+        f = _counting(lambda s: s**3)
+        nl = custom_nonlinearity(f, theta=4.0, p0=3.5)
+        got = nl.F(np.array([[-1.0, 0.0], [-2.0, -0.0]]))
+        assert got.shape == (2, 2) and np.all(got == 0.0)
+        assert f.points == 0
+
+    def test_f_undefined_off_the_positive_axis(self):
+        nl = custom_nonlinearity(lambda s: np.where(s > 0.0, s**3, np.nan), theta=4.0, p0=3.5)
+        np.testing.assert_allclose(nl.F(np.array([-1.0, 0.0, 1.0, 2.0])), [0.0, 0.0, 0.25, 4.0],
+                                   rtol=1e-14, atol=0.0)
+
+    def test_borderline_f2_validates(self):
+        # theta F = xi f exactly; the rule must hold it to the validator's 1e-10 bar
+        nl = custom_nonlinearity(lambda s: s**2.5, theta=3.5, p0=3.0)
+        assert validate_nonlinearity(nl).passed
+
+    def test_eight_points_per_gap(self):
+        f = _counting(lambda s: s**3 + s**2)
+        nl = custom_nonlinearity(f, theta=3.0, p0=3.5)
+        xi = self._PROFILE + 2e-3  # 1024 distinct positive values
+        assert np.unique(xi).size == xi.size and np.all(xi > 0.0)
+        nl.F(xi)
+        assert 0 < f.points <= 8 * xi.size + 64
 
 
 class TestValidateNonlinearity:
