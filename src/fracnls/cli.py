@@ -17,7 +17,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -323,6 +322,9 @@ def cmd_sweep(args) -> int:
     base_cfg = {k: v for k, v in cfg.items() if k != "sweep"}
     tasks = [(base_cfg, parameter, v, args.refine) for v in values]
     if args.jobs > 1:
+        # imported here: it loads multiprocessing, which --jobs 1 never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_point, tasks))  # pool.map keeps input order
     else:

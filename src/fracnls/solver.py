@@ -2,12 +2,19 @@
 
 Each iterate lives on the constraint manifold.  The loop works on arrays,
 with the half spectra of ``numpy.fft.rfft`` (fields are real), and builds a
-``Field`` only for the returned state.  One step costs four real FFTs:
+``Field`` only for the returned state.  The loop state is ``(u, u_hat, Q,
+E)``: the iterate, its half spectrum, its squared X-norm and its energy.
+One step costs three real FFTs:
 
-  1. ``u_hat = rfft(u)``; the L2 gradient of the energy is
-     ``g = irfft(|w|^(2 alpha) u_hat) + V u - f(u)``, and the stopping
-     residual is ``||g||_L2 / ||u||_X`` with ``||u||_X^2 = Q(u)`` read off
-     ``u_hat`` by Parseval;
+  1. the L2 gradient of the energy is ``g = irfft(|w|^(2 alpha) u_hat) + V u
+     - f(u)``, and the stopping residual is ``||g||_L2 / sqrt(Q)``.
+     ``u_hat`` and ``Q`` are carried from the accepted step, not recomputed:
+     the step is ``u' = sigma (u - t p)``, so ``u_hat' = sigma (u_hat - t
+     p_hat)`` and ``Q' = sigma^2 Q(u - t p)``, the quadratic the trial was
+     priced with (step 3).  Only the start pays ``rfft(u)`` and an X
+     product.  E and Q then come from the same numbers, so the
+     sufficient-decrease test never compares energies priced from two
+     roundings of Q;
   2. precondition in frequency space, ``d_hat = rfft(g) / (|w|^(2 alpha) +
      kappa)`` and ``d = irfft(d_hat)``, with kappa = max V, a
      positive-definite approximation of the energy Hessian's linear part;
@@ -18,7 +25,7 @@ with the half spectra of ``numpy.fft.rfft`` (fields are real), and builds a
      centre of a well by about 0.002 per iteration (the slow translation
      mode); the conjugate term carries that motion from step to step.  p's
      half spectrum is the same combination, ``dh + beta ph_prev``, so no
-     transform is spent on it and an iteration keeps its four FFTs.
+     transform is spent on it.
      Backtracking starts at the full step t = 1 and projects every trial
      onto the manifold, until the projected energy satisfies the
      sufficient-decrease test against <g, p>_L2.  The preconditioned
@@ -41,7 +48,8 @@ loop's arrays.
 
 Non-convergence (iteration budget exhausted or a fully collapsed line
 search) is a reported state, never an exception: comparison sweeps must be
-able to aggregate partial results.
+able to aggregate partial results.  ``GroundStateReport.stop_reason`` says
+which of the loop's three exits was taken.
 """
 
 from __future__ import annotations
@@ -117,6 +125,9 @@ class GroundStateReport:
     symmetry_defect: float
     iterations: int
     converged: bool
+    # "converged" (residual at most grad_tol), "budget" (max_iters steps
+    # taken) or "collapsed" (no trial step passed the decrease test)
+    stop_reason: str
     energy: EnergyBreakdown
 
 
@@ -168,8 +179,8 @@ def _symmetry_defect(u: Field, star: Field) -> float:
 def _x_product(prob: Problem, uh: np.ndarray, vh: np.ndarray, u: np.ndarray,
                v: np.ndarray) -> float:
     """X inner product of u and v from their values and half spectra."""
-    dirichlet = float(np.sum(prob.dirichlet_weights * np.real(uh * np.conj(vh))))
-    return dirichlet + prob.grid.dx * float(np.sum(prob.V_values * u * v))
+    dirichlet = np.vdot(uh, prob.dirichlet_weights * vh).real
+    return float(dirichlet + prob.grid.dx * ((prob.V_values * u) @ v))
 
 
 def _gradient(prob: Problem, u: np.ndarray, uh: np.ndarray) -> np.ndarray:
@@ -190,9 +201,9 @@ def _direction(dx: float, g: np.ndarray, d: np.ndarray, dh: np.ndarray, gd: floa
     if prev is None:
         return d, dh, gd
     g_prev, gd_prev, p_prev, ph_prev = prev
-    beta = max(0.0, dx * float(np.sum((g - g_prev) * d)) / gd_prev)
+    beta = max(0.0, dx * float((g - g_prev) @ d) / gd_prev)
     p = d + beta * p_prev
-    gp = dx * float(np.sum(g * p))
+    gp = dx * float(g @ p)
     if gp <= 0.0:
         return d, dh, gd
     return p, dh + beta * ph_prev, gp
@@ -200,21 +211,27 @@ def _direction(dx: float, g: np.ndarray, d: np.ndarray, dh: np.ndarray, gd: floa
 
 def _line_search(prob: Problem, u: np.ndarray, uh: np.ndarray, p: np.ndarray,
                  ph: np.ndarray, Q: float, E: float, slope: float):
-    """The projected step along ``u - t p`` and its energy, or None when the
-    search collapses.  ``Q`` is u's squared X-norm, ``E`` its energy and
-    ``slope = <g, p>_L2`` the decrease rate at t = 0."""
+    """The projected step along ``u - t p`` as the next state ``(u, u_hat, Q,
+    E)``, or None when the search collapses.  ``Q`` is u's squared X-norm,
+    ``E`` its energy and ``slope = <g, p>_L2`` the decrease rate at t = 0.
+
+    The accepted step is ``sigma (u - t p)``: its half spectrum is
+    ``sigma (u_hat - t p_hat)`` and its squared X-norm ``sigma^2`` times the
+    quadratic the trial was priced with, so the next iteration needs no
+    transform of u and no X product to know them."""
     B = _x_product(prob, uh, ph, u, p)
     Qp = _x_product(prob, ph, ph, p, p)
 
     def trial(t: float) -> tuple:
         v = u - t * p
-        sigma, psi = project_ray(v, Q - 2.0 * t * B + t * t * Qp, prob)[:2]
-        return sigma * v, psi
+        Qt = Q - 2.0 * t * B + t * t * Qp
+        sigma, psi = project_ray(v, Qt, prob)[:2]
+        return psi, sigma, Qt, v
 
     t = 1.0
     while t >= _T_MIN:
         try:
-            v, psi = trial(t)
+            psi, sigma, Qt, v = trial(t)
         except ProjectionError:
             t *= _BETA
             continue
@@ -227,13 +244,14 @@ def _line_search(prob: Problem, u: np.ndarray, uh: np.ndarray, p: np.ndarray,
         # the parabola through E, slope -<g, p> and psi at t = 1
         a = psi - E + slope
         if a > 0.0 and slope / (2.0 * a) > _T_FIT:
+            t_star = slope / (2.0 * a)
             try:
-                w, psi_star = trial(slope / (2.0 * a))
+                star = trial(t_star)
             except ProjectionError:
-                psi_star = np.inf
-            if psi_star < psi:
-                return w, psi_star
-    return v, psi
+                star = None
+            if star is not None and star[0] < psi:
+                t, (psi, sigma, Qt, v) = t_star, star
+    return sigma * v, sigma * (uh - t * ph), sigma * sigma * Qt, psi
 
 
 def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None) -> GroundStateReport:
@@ -250,33 +268,35 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None) -> GroundSta
         raise AdmissibilityError("inadmissible start: no positive part")
 
     grid = prob.grid
+    # the loop state (u, u_hat, Q, E): the start projected onto the manifold;
+    # every accepted step updates all four without a transform of u
     u0h = np.fft.rfft(u0)
-    sigma, E = project_ray(u0, _x_product(prob, u0h, u0h, u0, u0), prob)[:2]
-    u = sigma * u0
+    Q0 = _x_product(prob, u0h, u0h, u0, u0)
+    sigma, E = project_ray(u0, Q0, prob)[:2]
+    u, uh, Q = sigma * u0, sigma * u0h, sigma * sigma * Q0
 
     iterations = 0
-    converged = False
+    stop_reason = "budget"
     prev = None  # (g, <g, d>, p, p_hat) of the last step, for the conjugate direction
 
     for it in range(cfg.max_iters + 1):
-        uh = np.fft.rfft(u)
         g = _gradient(prob, u, uh)
-        Q = _x_product(prob, uh, uh, u, u)
-        if np.sqrt(grid.dx * np.sum(g**2)) / np.sqrt(Q) <= cfg.grad_tol:
-            converged = True
+        if np.sqrt(grid.dx * (g @ g) / Q) <= cfg.grad_tol:
+            stop_reason = "converged"
             break
         if it == cfg.max_iters:
             break
 
         dh = prob.precond * np.fft.rfft(g)
         d = np.fft.irfft(dh, grid.N)
-        gd = grid.dx * float(np.sum(g * d))
+        gd = grid.dx * float(g @ d)
         p, ph, slope = _direction(grid.dx, g, d, dh, gd, prev)
         prev = (g, gd, p, ph)
         step = _line_search(prob, u, uh, p, ph, Q, E, slope)
         if step is None:
-            break  # line search collapsed; report non-convergence
-        u, E = step
+            stop_reason = "collapsed"
+            break
+        u, uh, Q, E = step
         iterations += 1
 
     u = Field(grid, u)
@@ -289,7 +309,8 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None) -> GroundSta
         nonneg_violation=nonneg_violation(u),
         symmetry_defect=_symmetry_defect(u, _rearrange(u).u_star),
         iterations=iterations,
-        converged=converged,
+        converged=stop_reason == "converged",
+        stop_reason=stop_reason,
         energy=energy,
     )
 

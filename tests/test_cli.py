@@ -488,6 +488,18 @@ class TestTopLevel:
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == "[]"
 
+    def test_cli_import_leaves_multiprocessing_out(self):
+        # only sweep --jobs N > 1 needs a process pool; it imports one itself
+        r = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, fracnls.cli; "
+             "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+             "if m in sys.modules])"],
+            capture_output=True, text=True,
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[]"
+
     def test_version_importable(self):
         r = subprocess.run(
             [sys.executable, "-c", "import fracnls; print(fracnls.__version__)"],
