@@ -29,7 +29,7 @@ from .grid import Field, embed_field, make_grid, refine_field
 from .nehari import level_c_infinity
 from .problem import (NONLINEARITY_KEYS, Problem, config_number, config_section,
                       problem_from_config)
-from .rearrange import polya_szego_check, rearrange
+from .rearrange import polya_szego_check, rearrange, rearrange_values
 from .solver import GaussianBump, GroundStateReport, SolverConfig, default_start, ground_state
 from .verify import SUITES, run_suite
 
@@ -220,19 +220,19 @@ def cmd_ground_state(args) -> int:
 
     tag = str(cfg.get("tag", "ground_state"))
     base = f"{tag}_{prob.alpha:g}_{prob.grid.N}"
-    star = rearrange(report.u).u_star
+    star = rearrange_values(report.u.values)
     json_path = out_dir / f"{base}.json"
     csv_path = out_dir / f"{base}.csv"
     _write_json(json_path, _report_json(prob, report, c_inf, drift, trunc))
     _write_csv(
         csv_path,
         ["x", "u", "u_star"],
-        list(zip(prob.grid.x, report.u.values, star.values)),
+        list(zip(prob.grid.x, report.u.values, star)),
     )
     manifest.outputs = [json_path.name, csv_path.name]
     manifest.write(out_dir)
 
-    msg = "converged" if report.converged else "did not converge"
+    msg = "converged" if report.converged else f"did not converge ({report.stop_reason})"
     print(f"{msg}: c = {report.c:.12g}, residual = {report.residual:.3e}, "
           f"iterations = {report.iterations}")
     for name in stalled:

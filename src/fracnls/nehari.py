@@ -18,7 +18,13 @@ One array-level projection, ``project_ray``, serves the descent loop and
 caller that knows Q needs no transform.  For the power nonlinearity
 f(xi) = xi_+^p the peak has the closed form
 
-    sigma_u^(p-1) = Q / integral u_+^(p+1),    psi_max = (1/2 - 1/(p+1)) sigma_u^2 Q.
+    sigma_u^(p-1) = Q / integral u_+^(p+1),    psi_max = (1/2 - 1/(p+1)) sigma_u^2 Q,
+
+with the integral taken as the dot product ``f(u) . u`` (for an integer p,
+``f`` is a product of squares, with no float power) and no separate
+positivity test: a ray whose integral is not a positive finite
+number (no positive part, or values whose powers underflow to 0 or
+overflow) raises ``ProjectionError``.
 
 For any other nonlinearity the mismatch
 
@@ -32,6 +38,7 @@ guarantees a single root.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -135,17 +142,24 @@ def project_ray(vals: np.ndarray, Q: float, prob: Problem) -> tuple:
     X-norm is ``Q``: ``(sigma_u, psi_max, bracket, mismatch evaluations)``.
 
     Rejects rays without positive part: f vanishes on xi <= 0, so psi is a
-    pure upward parabola there and never crosses.
+    pure upward parabola there and never crosses.  On the power path a ray
+    whose ``integral u_+^(p+1)`` underflows to 0 or overflows is rejected
+    the same way, as its peak is not representable.
     """
-    if not np.any(vals > 0.0):
-        raise ProjectionError("ray has no positive part, the fibering map has no maximizer")
-    if Q <= 0.0:
-        raise AdmissibilityError("zero field cannot be projected")
     nl = prob.nonlinearity
     dx = prob.grid.dx
     if nl.kind == "power":
+        # f(u) u = u_+^(p+1), with no float power for an integer p
+        S = dx * float(nl.f(vals) @ vals)
+        if not 0.0 < S < math.inf:
+            raise ProjectionError(f"integral of u_+^(p+1) on the ray is {S!r}: no positive "
+                                  "part, or one out of floating-point range")
+    elif not np.any(vals > 0.0):
+        raise ProjectionError("ray has no positive part, the fibering map has no maximizer")
+    if Q <= 0.0:
+        raise AdmissibilityError("zero field cannot be projected")
+    if nl.kind == "power":
         p = nl.p
-        S = dx * float(np.sum(np.maximum(vals, 0.0) ** (p + 1.0)))
         sigma = (Q / S) ** (1.0 / (p - 1.0))
         return sigma, (0.5 - 1.0 / (p + 1.0)) * sigma * sigma * Q, (sigma, sigma), 0
 

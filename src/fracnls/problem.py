@@ -70,6 +70,10 @@ class Nonlinearity:
 
     ``kind`` is ``"power"`` (``f(xi) = max(xi, 0)^p`` with closed-form
     primitive) or ``"custom"`` (callable ``f`` with optional derivative).
+    For an integer ``p`` the power ``f`` is a product of squares, as the
+    descent loop calls it several times per step; ``F`` and ``fprime`` keep
+    the float power, so the energy ``evaluate_I`` reports shares no product
+    with the loop.
 
     The custom primitive ``F(xi) = integral_0^xi f`` is a composite
     Gauss-Legendre rule over the sorted distinct positive values
@@ -108,6 +112,8 @@ class Nonlinearity:
         xi = np.asarray(xi, dtype=float)
         pos = np.maximum(xi, 0.0)
         if self.kind == "power":
+            if float(self.p).is_integer():
+                return _integer_power(pos, int(self.p))
             return pos**self.p
         return np.where(xi > 0.0, self.f_callable(pos), 0.0)
 
@@ -139,6 +145,24 @@ class Nonlinearity:
                 panels[sel] = width[sel] * (weights @ self.f_callable(x))
         out[positive] = np.cumsum(panels)[back]
         return out
+
+
+def _integer_power(x: np.ndarray, n: int) -> np.ndarray:
+    """``x**n`` for an integer ``n >= 1`` by repeated squaring.
+
+    A handful of products in place of the general float ``pow``, which costs
+    several times as much per element.  The result carries ``n - 1``
+    roundings, so it agrees with ``x**n`` to about ``n/2`` machine epsilons
+    relative, not bit for bit.
+    """
+    out = None
+    while True:
+        if n & 1:
+            out = x if out is None else out * x
+        n >>= 1
+        if not n:
+            return out
+        x = x * x
 
 
 def power_nonlinearity(p: float, p0: Optional[float] = None) -> Nonlinearity:

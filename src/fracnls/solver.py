@@ -7,7 +7,10 @@ E)``: the iterate, its half spectrum, its squared X-norm and its energy.
 One step costs three real FFTs:
 
   1. the L2 gradient of the energy is ``g = irfft(|w|^(2 alpha) u_hat) + V u
-     - f(u)``, and the stopping residual is ``||g||_L2 / sqrt(Q)``.
+     - f(u)``, and the loop's residual is ``||g||_L2 / sqrt(Q)``.  When it
+     reaches grad_tol, the reported residual (``energy.weak_residual_norm``,
+     which differs from the loop's at roundoff, about 1e-13) must confirm
+     it before the solve stops as converged; otherwise the loop goes on.
      ``u_hat`` and ``Q`` are carried from the accepted step, not recomputed:
      the step is ``u' = sigma (u - t p)``, so ``u_hat' = sigma (u_hat - t
      p_hat)`` and ``Q' = sigma^2 Q(u - t p)``, the quadratic the trial was
@@ -37,10 +40,20 @@ One step costs three real FFTs:
      projected energy is lower; the energy never rises.  A trial is priced
      without a transform: its X-norm is the quadratic
      ``Q(u - t p) = Q(u) - 2t B(u, p) + t^2 Q(p)``, with B the X inner
-     product, and ``nehari.project_ray`` needs only that and the trial's
-     values.  On the manifold the ray reprojection does not change the
+     product (B and Q(p) share p's weighted half spectrum and ``dx V p``,
+     formed once per line search), and ``nehari.project_ray`` needs only
+     that and the trial's values.  On the manifold the ray reprojection does not change the
      first-order decrease rate (the fibering derivative vanishes at the
      projected point), so the plain gradient pairing is the right slope.
+
+The start is divided by its largest value before it is projected.  The
+projection is scale-invariant, and a start of height 1 keeps the powers of
+its values in floating-point range, so a start of amplitude 1e-90 or 1e90
+solves like one of amplitude 1.
+
+The power nonlinearity's ``f`` is a product of squares for an integer p (see
+``problem.Nonlinearity``), which the loop calls once per gradient and once
+per trial projection; the reported energy keeps the float power.
 
 The returned level, energy and residual are computed by the Field-level
 functions of ``energy``, which the tests also use as the reference for the
@@ -64,7 +77,7 @@ from .exceptions import AdmissibilityError, ConfigurationError, ProjectionError
 from .grid import Field, Grid
 from .nehari import LEVEL_TOL, level_c, level_c_infinity, project_ray
 from .problem import CheckResult, Problem
-from .rearrange import rearrange as _rearrange
+from .rearrange import rearrange_values
 from .spaces import l2_norm
 
 __all__ = [
@@ -170,10 +183,10 @@ def nonneg_violation(u: Field) -> float:
     return float(np.sqrt(u.grid.dx * np.sum(neg**2))) / denom
 
 
-def _symmetry_defect(u: Field, star: Field) -> float:
-    """Relative L2 distance of u from its rearrangement star."""
+def _symmetry_defect(u: Field, star: np.ndarray) -> float:
+    """Relative L2 distance of u from the values ``star`` of its rearrangement."""
     denom = l2_norm(u)
-    return 0.0 if denom == 0.0 else float(l2_norm(Field(u.grid, u.values - star.values)) / denom)
+    return 0.0 if denom == 0.0 else float(l2_norm(Field(u.grid, u.values - star)) / denom)
 
 
 def _x_product(prob: Problem, uh: np.ndarray, vh: np.ndarray, u: np.ndarray,
@@ -219,8 +232,11 @@ def _line_search(prob: Problem, u: np.ndarray, uh: np.ndarray, p: np.ndarray,
     ``sigma (u_hat - t p_hat)`` and its squared X-norm ``sigma^2`` times the
     quadratic the trial was priced with, so the next iteration needs no
     transform of u and no X product to know them."""
-    B = _x_product(prob, uh, ph, u, p)
-    Qp = _x_product(prob, ph, ph, p, p)
+    # p's halves of the X products B = <u, p>_X and Q_p = <p, p>_X
+    wph = prob.dirichlet_weights * ph
+    Vp = prob.grid.dx * (prob.V_values * p)
+    B = float(np.vdot(uh, wph).real + Vp @ u)
+    Qp = float(np.vdot(ph, wph).real + Vp @ p)
 
     def trial(t: float) -> tuple:
         v = u - t * p
@@ -264,8 +280,12 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None) -> GroundSta
     """
     cfg = cfg if cfg is not None else SolverConfig()
     u0 = _as_start_field(prob.grid, cfg.start).values
-    if not np.any(u0 > 0.0):
+    top = float(np.max(u0))
+    if not top > 0.0:
         raise AdmissibilityError("inadmissible start: no positive part")
+    # the projection is scale-invariant; a start of height 1 keeps its powers
+    # in floating-point range whatever the start's own scale
+    u0 = u0 / top
 
     grid = prob.grid
     # the loop state (u, u_hat, Q, E): the start projected onto the manifold;
@@ -281,9 +301,14 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None) -> GroundSta
 
     for it in range(cfg.max_iters + 1):
         g = _gradient(prob, u, uh)
+        res = None  # the reported residual of u, once computed
         if np.sqrt(grid.dx * (g @ g) / Q) <= cfg.grad_tol:
-            stop_reason = "converged"
-            break
+            # the loop's residual differs from the reported one at roundoff;
+            # only the reported one may end the solve as converged
+            res = weak_residual_norm(Field(grid, u), prob)
+            if res <= cfg.grad_tol:
+                stop_reason = "converged"
+                break
         if it == cfg.max_iters:
             break
 
@@ -300,14 +325,15 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None) -> GroundSta
         iterations += 1
 
     u = Field(grid, u)
-    res = weak_residual_norm(u, prob)
+    if res is None:
+        res = weak_residual_norm(u, prob)
     energy = evaluate_I(u, prob)
     return GroundStateReport(
         u=u,
         c=energy.total,
         residual=res,
         nonneg_violation=nonneg_violation(u),
-        symmetry_defect=_symmetry_defect(u, _rearrange(u).u_star),
+        symmetry_defect=_symmetry_defect(u, rearrange_values(u.values)),
         iterations=iterations,
         converged=stop_reason == "converged",
         stop_reason=stop_reason,
@@ -389,9 +415,9 @@ def symmetry_diagnostic(report: GroundStateReport, prob: Problem) -> SymmetryRep
     if not prob.potential.radial_increasing:
         raise AdmissibilityError("symmetry diagnostic needs a radial increasing potential")
     u = report.u
-    star = _rearrange(u).u_star
+    star = rearrange_values(u.values)
     E_u = evaluate_I(u, prob).total
-    E_star = evaluate_I(star, prob).total
+    E_star = evaluate_I(Field(u.grid, star), prob).total
     ok = E_star <= E_u + 1e-10 * (1.0 + abs(E_u))
     return SymmetryReport(
         defect=_symmetry_defect(u, star),

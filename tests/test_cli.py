@@ -118,6 +118,42 @@ class TestGroundStateCommand:
         assert r.returncode == 2
         assert "did not converge" in r.stdout
 
+    @pytest.mark.parametrize("solver,reason", [
+        ({"max_iters": 1}, "budget"),
+        # alpha = 1 at N = 1024 collapses at its roundoff floor, near 9e-13
+        ({"grad_tol": 1e-14}, "collapsed"),
+    ])
+    def test_summary_line_names_stop_reason(self, tmp_path, capsys, solver, reason):
+        cfg = json.loads(json.dumps(CANON))
+        cfg["solver"].update(solver)
+        if reason == "collapsed":
+            cfg.update(alpha=1.0, N=1024)
+        code, out, _ = main_in_process(capsys, "ground-state", cfg, tmp_path)
+        assert code == 2
+        assert out.startswith(f"did not converge ({reason}): c = ")
+        # the reason is printed only: the data files keep their keys
+        base = f"canon_{cfg['alpha']:g}_{cfg['N']}"
+        report = json.loads((tmp_path / "out" / f"{base}.json").read_text())
+        assert "stop_reason" not in report and report["converged"] is False
+
+    @pytest.mark.parametrize("amplitude", [1e-90, 1e90])
+    def test_start_out_of_power_range_solves(self, tmp_path, capsys, amplitude):
+        # u^4 of such a start underflows to 0 or overflows: the solver scales
+        # the start to height 1 before projecting it, which changes no ray
+        cfg = json.loads(json.dumps(CANON))
+        cfg["solver"]["start"] = {"amplitude": amplitude}
+        (tmp_path / "far").mkdir()
+        (tmp_path / "unit").mkdir()
+        code, out, err = main_in_process(capsys, "ground-state", cfg, tmp_path / "far")
+        assert code == 0, err
+        assert out.startswith("converged: ")
+        code, _, err = main_in_process(capsys, "ground-state", CANON, tmp_path / "unit")
+        assert code == 0, err
+        far = json.loads((tmp_path / "far" / "out" / "canon_0.75_256.json").read_text())
+        unit = json.loads((tmp_path / "unit" / "out" / "canon_0.75_256.json").read_text())
+        assert far["c"] == pytest.approx(unit["c"], rel=1e-12)
+        assert far["iterations"] == unit["iterations"]
+
     def test_missing_config_exits_one(self, tmp_path):
         r = run_cli("ground-state", "--out", str(tmp_path))
         assert r.returncode == 1
@@ -176,6 +212,18 @@ class TestSweepCommand:
         fa = (out_a / "well_sweep_epsilon.csv").read_bytes()
         fb = (out_b / "well_sweep_epsilon.csv").read_bytes()
         assert fa == fb
+
+    # a narrow start 5 beyond the L = 20 window is about 1e-87 at its edge,
+    # where u^4 underflows to 0: the point solves once the start is scaled
+    def test_start_underflowing_on_window_solves(self, tmp_path, capsys):
+        edge = json.loads(json.dumps(CANON))
+        edge["solver"]["start"] = {"kind": "gaussian_bump", "center": 25.0, "width": 0.25}
+        edge["sweep"] = {"parameter": "L", "values": [40.0, 20.0]}
+        code, _, err = main_in_process(capsys, "sweep", edge, tmp_path)
+        assert code == 0, err
+        rows = list(csv.DictReader(open(tmp_path / "out" / "canon_sweep_L.csv")))
+        assert [r["status"] for r in rows] == ["ok", "ok"]
+        assert float(rows[1]["residual"]) <= 1e-6
 
     # a narrow start 10 beyond the L = 20 window underflows to zero on it, so
     # that point has no positive part; the L = 40 point solves

@@ -33,6 +33,7 @@ from fracnls import (
     power_nonlinearity,
     random_starts,
     symmetry_diagnostic,
+    weak_residual_norm,
 )
 from fracnls import solver
 
@@ -229,12 +230,43 @@ class TestCarriedState:
         assert rep.residual <= 1e-6
         rep = ground_state(prob_canonical, SolverConfig(max_iters=1))
         assert rep.stop_reason == "budget" and not rep.converged
-        # alpha = 1 still reaches the roundoff floor, at a residual near 4e-9
+        # alpha = 1 converges at 1e-12 (23 iterations) and reaches the
+        # roundoff floor below it: the line search collapses at a residual
+        # near 9e-13
         prob = make_problem(make_grid(20.0, 1024), 1.0, cubic, flat_potential)
-        rep = ground_state(prob, SolverConfig(grad_tol=1e-12))
+        rep = ground_state(prob, SolverConfig(grad_tol=1e-14))
         assert rep.stop_reason == "collapsed" and not rep.converged
         assert rep.iterations < 100
         assert rep.c == pytest.approx(4.0 / 3.0, rel=1e-14)
+
+    @pytest.mark.parametrize("grad_tol", [1e-13, 1e-14])
+    def test_converged_only_below_grad_tol(self, prob_canonical, grad_tol):
+        # near the floor the loop's residual and the reported one differ by
+        # about 1e-13: the reported one decides, so no converged report
+        # states a residual above grad_tol
+        rep = ground_state(prob_canonical, SolverConfig(grad_tol=grad_tol))
+        assert rep.residual == weak_residual_norm(rep.u, prob_canonical)
+        assert rep.converged == (rep.stop_reason == "converged")
+        assert not rep.converged or rep.residual <= grad_tol
+        assert rep.c == pytest.approx(C_FROZEN_A075, rel=1e-12)
+
+    def test_unconfirmed_convergence_keeps_iterating(self, prob_canonical, monkeypatch):
+        # the first time the loop's test passes, the reported residual is made
+        # to miss grad_tol: the solve must take further steps, not stop
+        plain = ground_state(prob_canonical)
+        real = solver.weak_residual_norm
+        calls = []
+
+        def first_misses(u, prob):
+            calls.append(u)
+            return 1.0 if len(calls) == 1 else real(u, prob)
+
+        monkeypatch.setattr(solver, "weak_residual_norm", first_misses)
+        rep = ground_state(prob_canonical)
+        assert rep.converged and rep.residual <= 1e-6
+        assert rep.iterations > plain.iterations
+        # the confirming residual is the reported one, not evaluated again
+        assert len(calls) == 2
 
 
 class TestScalingOracle:
