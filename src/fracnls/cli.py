@@ -122,11 +122,15 @@ def _solver_config(cfg: dict) -> SolverConfig:
     start_cfg = config_section(s, "start", ("kind", "center", "width", "amplitude"), "solver.")
     if start_cfg.get("kind", "gaussian_bump") != "gaussian_bump":
         raise ConfigurationError("config files support the gaussian_bump start only")
-    start = GaussianBump(
-        center=config_number(start_cfg.get("center", 0.0), "solver.start.center"),
-        width=config_number(start_cfg.get("width", 1.0), "solver.start.width"),
-        amplitude=config_number(start_cfg.get("amplitude", 1.0), "solver.start.amplitude"),
-    )
+    start = GaussianBump()
+    for k in ("center", "width", "amplitude"):
+        if k in start_cfg:
+            key = "solver.start." + k
+            value = config_number(start_cfg[k], key)
+            try:
+                start = replace(start, **{k: value})
+            except ConfigurationError as e:  # a non-finite value, or a width <= 0
+                raise ConfigurationError(f"config key {key!r}: {e}") from None
     return SolverConfig(
         max_iters=config_number(s.get("max_iters", 5000), "solver.max_iters", int),
         grad_tol=config_number(s.get("grad_tol", 1e-6), "solver.grad_tol"),

@@ -34,6 +34,22 @@ is bracketed by doubling or halving away from sigma = 1, and the root is
 refined by regula falsi with the Illinois modification to a relative width
 of 4 machine epsilons; strict monotonicity of m under the f-hypotheses
 guarantees a single root.
+
+The level functions seek c in the symmetric class when the potential is
+flagged ``radial_increasing`` (even and nondecreasing in |t|; checked as (V5)
+by ``validate_potential``).  There replacing u by its symmetric decreasing
+rearrangement u* lowers neither the seminorm (Polya-Szego, Almgren & Lieb,
+J. AMS 2, 1989) nor ``integral V u^2``, so the infimum over the manifold is
+the infimum over symmetric decreasing functions.  ``level_c`` therefore
+starts each descent from the exactly even symmetric decreasing profile of
+the start's positive part, and an off-centre start no longer spends its
+iterations in the slow translation mode.  The discrete rearrangement is even
+only up to a one-cell parity offset, a translation by dx/2 that a tight
+``grad_tol`` stalls on, so the profile is averaged with its mirror about
+x = 0.  ``level_c_infinity``, ``compare_levels``, ``continuity_sweep`` and
+``solver.compare_c_to_c_infinity`` all go through ``level_c``;
+``solver.ground_state`` descends from the start it is given, whatever the
+potential.
 """
 
 from __future__ import annotations
@@ -47,6 +63,7 @@ import numpy as np
 from .exceptions import AdmissibilityError, ProjectionError
 from .grid import Field
 from .problem import Potential, Problem
+from .rearrange import rearrange_values
 from .spaces import inner_product_X
 
 __all__ = [
@@ -193,12 +210,36 @@ def nehari_project(u: Field, prob: Problem) -> FiberingReport:
     )
 
 
+def _symmetric_start(values: np.ndarray) -> np.ndarray:
+    """The exactly even symmetric decreasing profile of the positive part of
+    ``values``: its rearrangement averaged with its mirror about x = 0.
+
+    ``rearrange_values`` puts the left cell first at equal distance from the
+    centre, so its result is even only up to a one-cell parity offset.  The
+    mirror ``m[j] = v[(N - j) % N]`` swaps the two cells of each pair, and
+    ``(v + m) / 2`` is then even to the last bit (addition commutes) and still
+    decreasing in |x|.  A profile that is already even, such as a centred
+    Gaussian, comes back bit for bit.
+    """
+    v = rearrange_values(np.maximum(values, 0.0))
+    return 0.5 * (v + np.concatenate((v[:1], v[:0:-1])))
+
+
 def level_c(
     prob: Problem,
     starts: Sequence[Field],
     cfg=None,
 ) -> LevelEstimate:
-    """Minimize I over the manifold from each start; keep the best level."""
+    """Minimize I over the manifold from each start; keep the best level.
+
+    When the potential is flagged ``radial_increasing`` (even and
+    nondecreasing in |t|), each start is first replaced by the exactly even
+    symmetric decreasing profile of its positive part (``_symmetric_start``),
+    as the level is attained in that class; an off-centre start then costs no
+    slow translation toward the centre.  The positive part, not ``|s|``,
+    keeps a start without positive part inadmissible.  Starts on any other
+    potential are taken as given.
+    """
     from .solver import SolverConfig, ground_state
 
     if not starts:
@@ -206,6 +247,8 @@ def level_c(
     cfg = cfg if cfg is not None else SolverConfig()
     runs = []
     for s in starts:
+        if prob.potential.radial_increasing:
+            s = Field(s.grid, _symmetric_start(s.values))
         try:
             runs.append(ground_state(prob, replace(cfg, start=s)))
         except (AdmissibilityError, ProjectionError):

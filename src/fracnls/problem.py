@@ -24,6 +24,7 @@ two structural flags:
 from __future__ import annotations
 
 import ast
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
@@ -45,17 +46,23 @@ __all__ = [
     "problem_from_config",
 ]
 
-# Gauss-Legendre rules on [0, 1] for the panels of the custom primitive: 8
-# nodes, exact to degree 15, on a narrow panel [a, b] (b <= 2a), whose error
-# for f(s) = s^q stays at roundoff; 64 nodes on a wide one, where f may be
+# Gauss-Legendre rules for the panels of the custom primitive: 8 nodes, exact
+# to degree 15, on a narrow panel [a, b] (b <= 2a), whose error for
+# f(s) = s^q stays at roundoff; 64 nodes on a wide one, where f may be
 # nonsmooth near 0 (s^1.5 has an unbounded second derivative there).  The
 # first panel [0, x_(1)] is always wide.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-_GL_S = 0.5 * (_GL_NODES + 1.0)
-_GL_W = 0.5 * _GL_WEIGHTS
-_PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_PANEL_S = 0.5 * (_PANEL_NODES + 1.0)
-_PANEL_W = 0.5 * _PANEL_WEIGHTS
+@functools.cache
+def _gauss_legendre(n: int) -> tuple:
+    """Nodes and weights of the n-node Gauss-Legendre rule mapped to [0, 1].
+
+    Built on the first custom ``F`` call, so a process that only uses the
+    power nonlinearity never loads ``numpy.polynomial``.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(n)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
+
 
 # the sample on which the nonlinearity hypotheses are checked
 _XI = np.logspace(-6.0, 3.0, 400)
@@ -138,8 +145,9 @@ class Nonlinearity:
         lo, width = edges[:-1], np.diff(edges)
         wide = width > lo
         panels = np.empty(xs.size)
-        for sel, nodes, weights in ((wide, _GL_S, _GL_W), (~wide, _PANEL_S, _PANEL_W)):
+        for sel, n in ((wide, 64), (~wide, 8)):
             if np.any(sel):
+                nodes, weights = _gauss_legendre(n)
                 # one column per panel: numpy's inner loops then run over the panels
                 x = lo[sel] + nodes[:, None] * width[sel]
                 panels[sel] = width[sel] * (weights @ self.f_callable(x))

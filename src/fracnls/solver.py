@@ -67,6 +67,7 @@ which of the loop's three exits was taken.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence, Union
 
@@ -108,9 +109,19 @@ _T_FIT = 1.5
 
 @dataclass(frozen=True)
 class GaussianBump:
+    """``amplitude * exp(-(x - center)^2 / (2 width^2))``; every parameter
+    finite and the width positive."""
+
     center: float = 0.0
     width: float = 1.0
     amplitude: float = 1.0
+
+    def __post_init__(self) -> None:
+        for name in ("center", "width", "amplitude"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or (name == "width" and value <= 0.0):
+                need = "a positive" if name == "width" else "a"
+                raise ConfigurationError(f"start {name} must be {need} finite number, got {value!r}")
 
 
 Start = Union[GaussianBump, Field]

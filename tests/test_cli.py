@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -389,6 +390,18 @@ class TestConfigErrors:
         assert not list((tmp_path / "out").glob("*.json"))
         assert not list((tmp_path / "out").glob("*.csv"))
 
+    @pytest.mark.parametrize("key,value", [("width", 0.0), ("width", -1.0),
+                                           ("width", math.nan), ("center", math.inf),
+                                           ("amplitude", math.nan)])
+    def test_degenerate_start_named(self, tmp_path, capsys, key, value):
+        cfg = json.loads(json.dumps(CANON))
+        cfg["solver"]["start"] = {key: value}
+        code, out, err = main_in_process(capsys, "ground-state", cfg, tmp_path)
+        assert code == 1
+        assert f"'solver.start.{key}'" in err
+        assert "RuntimeWarning" not in out + err
+        assert not list((tmp_path / "out").glob("*.json"))
+
     def test_integral_float_accepted(self, tmp_path, capsys):
         cfg = dict(CANON, N=64.0)
         code, _, _ = main_in_process(capsys, "ground-state", cfg, tmp_path)
@@ -535,6 +548,20 @@ class TestTopLevel:
         )
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == "[]"
+
+    def test_power_solve_leaves_numpy_polynomial_out(self):
+        # the quadrature rules of the custom primitive are built on first use
+        r = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, fracnls as fr; "
+             "g = fr.make_grid(20.0, 64); "
+             "fr.ground_state(fr.make_problem(g, 0.75, fr.power_nonlinearity(3.0), "
+             "fr.Potential.constant(1.0))); "
+             "print('numpy.polynomial' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "False"
 
     def test_cli_import_leaves_multiprocessing_out(self):
         # only sweep --jobs N > 1 needs a process pool; it imports one itself

@@ -22,15 +22,18 @@ from fracnls import (
     custom_nonlinearity,
     default_start,
     evaluate_I,
+    ground_state,
     level_c,
     level_c_infinity,
     make_problem,
     nehari_project,
     norm_X,
     power_nonlinearity,
+    random_starts,
 )
+from fracnls.nehari import _symmetric_start
 
-from conftest import positive_field
+from conftest import WELL_EXPR, positive_field
 
 FAST = SolverConfig(max_iters=4000, grad_tol=1e-6)
 
@@ -154,6 +157,59 @@ class TestLevels:
                             Potential.constant(2.0))
         direct = level_c(flat, [default_start(prob_well.grid)], cfg=FAST)
         assert est.c == pytest.approx(direct.c, rel=1e-9)
+
+
+class TestSymmetricClass:
+    """On a potential flagged radial_increasing, level_c starts from the exactly
+    even symmetric decreasing profile of each start; on any other it takes
+    the start as given."""
+
+    @pytest.fixture(scope="class")
+    def well1024(self, grid_canonical, cubic, well_potential):
+        return make_problem(grid_canonical, 0.75, cubic, well_potential)
+
+    @pytest.mark.parametrize("grad_tol,budget", [(1e-6, 12), (1e-9, 25)])
+    @pytest.mark.parametrize("center", [2.0, 4.5, 8.0])
+    def test_off_centre_starts_converge_fast(self, well1024, center, grad_tol, budget):
+        # the raw start at 4.5 takes 139 iterations at 1e-6; the plain
+        # rearrangement, without the mirror average, runs out of 5000 at 1e-9
+        start = Field(well1024.grid, np.exp(-((well1024.grid.x - center) ** 2) / 2.0))
+        est = level_c(well1024, [start], cfg=SolverConfig(grad_tol=grad_tol))
+        assert est.converged
+        assert est.iterations <= budget
+
+    @pytest.mark.parametrize("which", ["hump", "unflagged well"])
+    def test_unflagged_potentials_take_the_raw_start(self, grid512, cubic, which):
+        expr = "1.0 + 1.0/(1.0 + t**2)" if which == "hump" else WELL_EXPR
+        V_inf = 1.0 if which == "hump" else 2.0
+        prob = make_problem(grid512, 0.75, cubic, Potential.from_expr(expr, V0=1.0, V_inf=V_inf))
+        start = Field(grid512, np.exp(-((grid512.x - 1.5) ** 2) / 2.0))
+        est = level_c(prob, [start], cfg=SolverConfig(max_iters=300))
+        rep = ground_state(prob, SolverConfig(max_iters=300, start=start))
+        assert est.c.hex() == rep.c.hex()
+        assert est.iterations == rep.iterations
+
+    @pytest.mark.parametrize("which", ["well", "flat"])
+    def test_levels_match_the_raw_descent(self, prob_well, prob512, which):
+        prob = prob_well if which == "well" else prob512
+        for start in random_starts(prob.grid, 8):
+            est = level_c(prob, [start])
+            rep = ground_state(prob, SolverConfig(start=start))
+            assert est.converged and rep.converged
+            assert est.c == pytest.approx(rep.c, rel=1e-12, abs=0.0)
+
+    def test_symmetric_start_is_exactly_even(self, grid512):
+        N = grid512.N
+        mirror = (N - np.arange(N)) % N
+        rng = np.random.default_rng(3)
+        for vals in (np.exp(-((grid512.x - 3.3) ** 2)), rng.standard_normal(N)):
+            v = _symmetric_start(vals)
+            assert np.array_equal(v, v[mirror])
+            # nonincreasing away from x = 0, and the positive part's values
+            assert np.all(np.diff(v[N // 2:]) <= 0.0)
+            assert np.max(v) == np.max(vals) and np.min(v) == max(np.min(vals), 0.0)
+        centred = default_start(grid512).values
+        assert np.array_equal(_symmetric_start(centred), centred)
 
 
 class TestCompareLevels:

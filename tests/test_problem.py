@@ -15,7 +15,7 @@ from fracnls import (
     validate_nonlinearity,
     validate_potential,
 )
-from fracnls.problem import _XI
+from fracnls.problem import _XI, _gauss_legendre
 
 from conftest import WELL_EXPR
 
@@ -114,6 +114,14 @@ class TestCustomPrimitive:
         # theta F = xi f exactly; the rule must hold it to the validator's 1e-10 bar
         nl = custom_nonlinearity(lambda s: s**2.5, theta=3.5, p0=3.0)
         assert validate_nonlinearity(nl).passed
+
+    @pytest.mark.parametrize("n", [64, 8])
+    def test_rules_are_legendre_on_the_unit_interval(self, n):
+        # built on first use; the same arrays, bit for bit, as leggauss mapped to [0, 1]
+        nodes, weights = np.polynomial.legendre.leggauss(n)
+        s, w = _gauss_legendre(n)
+        assert np.array_equal(s, 0.5 * (nodes + 1.0))
+        assert np.array_equal(w, 0.5 * weights)
 
     def test_eight_points_per_gap(self):
         f = _counting(lambda s: s**3 + s**2)
