@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -88,17 +88,7 @@ class RunManifest:
 
     def write(self, out_dir: Path) -> None:
         self.finished = _now()
-        _write_json(
-            out_dir / "manifest.json",
-            {
-                "config_digest": self.config_digest,
-                "seed": self.seed,
-                "tool_version": self.tool_version,
-                "started": self.started,
-                "finished": self.finished,
-                "outputs": self.outputs,
-            },
-        )
+        _write_json(out_dir / "manifest.json", asdict(self))  # keys in field order
 
 
 def _now() -> str:
@@ -201,12 +191,8 @@ def _report_json(
         "converged": report.converged,
         "nonneg_violation": _jsonable(report.nonneg_violation),
         "symmetry_defect": _jsonable(report.symmetry_defect),
-        "energy": {
-            "kinetic": _jsonable(report.energy.kinetic),
-            "potential_term": _jsonable(report.energy.potential_term),
-            "nonlinear": _jsonable(report.energy.nonlinear),
-            "total": _jsonable(report.energy.total),
-        },
+        "energy": {k: _jsonable(getattr(report.energy, k))
+                   for k in ("kinetic", "potential_term", "nonlinear", "total")},
         "refinement_drift": _jsonable(drift),
         "truncation_err": _jsonable(trunc),
     }

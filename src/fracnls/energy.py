@@ -3,8 +3,9 @@
     I(u) = 1/2 * ( |u|_alpha^2 + integral V u^2 ) - integral F(u)
 
 The limiting energy, V replaced by the constant V_inf, is ``evaluate_I`` on
-``prob.with_potential(Potential.constant(V_inf))``.  The gradient is
-represented as the plain field
+``prob.with_potential(Potential.constant(V_inf))``.  The kinetic part and the
+gradient's linear part act on ``rfft(u)`` with ``Problem.dirichlet_weights``
+and ``Problem.symbol``.  The gradient is represented as the plain field
 
     g = composed_operator(u, alpha) + V*u - f(u),
 
@@ -24,7 +25,7 @@ import numpy as np
 from .exceptions import AdmissibilityError
 from .grid import Field
 from .problem import Problem
-from .spaces import norm_X, seminorm_alpha
+from .spaces import l2_norm, norm_X
 
 __all__ = [
     "evaluate_I",
@@ -50,7 +51,8 @@ def evaluate_I(u: Field, prob: Problem) -> EnergyBreakdown:
     """Energy with the spatial potential; kinetic part frequency side,
     potential and nonlinear parts by grid quadrature."""
     g = u.grid
-    kinetic = 0.5 * seminorm_alpha(u, prob.alpha) ** 2
+    uh = np.fft.rfft(u.values)
+    kinetic = 0.5 * float(np.vdot(uh, prob.dirichlet_weights * uh).real)
     potential_term = 0.5 * g.dx * float(np.sum(prob.V_values * u.values**2))
     nonlinear = g.dx * float(np.sum(prob.nonlinearity.F(u.values)))
     return EnergyBreakdown(kinetic=kinetic, potential_term=potential_term, nonlinear=nonlinear)
@@ -58,8 +60,7 @@ def evaluate_I(u: Field, prob: Problem) -> EnergyBreakdown:
 
 def gradient_I(u: Field, prob: Problem) -> Field:
     """L2 representative of the derivative of I at u."""
-    sym = np.abs(u.grid.w) ** (2.0 * prob.alpha)
-    lin = np.real(np.fft.ifft(sym * np.fft.fft(u.values)))
+    lin = np.fft.irfft(prob.symbol * np.fft.rfft(u.values), u.grid.N)
     vals = lin + prob.V_values * u.values - prob.nonlinearity.f(u.values)
     return Field(u.grid, vals)
 
@@ -69,6 +70,4 @@ def weak_residual_norm(u: Field, prob: Problem) -> float:
     nx = norm_X(u, prob.alpha, prob.V_values)
     if nx == 0.0:
         raise AdmissibilityError("residual of the zero field is undefined")
-    g = gradient_I(u, prob)
-    l2 = float(np.sqrt(u.grid.dx * np.sum(g.values**2)))
-    return l2 / nx
+    return l2_norm(gradient_I(u, prob)) / nx

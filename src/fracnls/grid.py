@@ -19,6 +19,13 @@ act in frequency space as multiplication by ``(i w)^alpha`` and
 symbol ``|w|^(2 alpha)``, which is the only symbol entering energies; the
 one-sided operators are kept as diagnostics.  Phase and ``dx`` scaling cancel
 when a multiplier is applied, so multipliers act directly on raw FFT data.
+
+Two spectral paths.  Complex ``fft``/``ifft`` serve only the scaled
+transform pair and the one-sided derivatives' complex symbols.  Every
+real-to-real operation (``composed_operator``, ``refine_field``, the seminorm
+and X product of ``spaces``, the energy and gradient, the solver loop) works
+on the ``rfft`` half spectrum ``k = 0 .. N/2``, with the symbol and Parseval
+weights built once, by ``_half_symbol`` and ``_parseval_weights``.
 """
 
 from __future__ import annotations
@@ -133,6 +140,19 @@ def _check_alpha(alpha: float) -> float:
     return a
 
 
+def _half_symbol(grid: Grid, alpha: float) -> np.ndarray:
+    """``|w_k|^(2 alpha)`` on the rfft modes ``k = 0 .. N/2``, alpha checked."""
+    return np.abs(grid.w[: grid.N // 2 + 1]) ** (2.0 * _check_alpha(alpha))
+
+
+def _parseval_weights(grid: Grid) -> np.ndarray:
+    """``(dx/N) m_k`` on the rfft modes, ``m_k = 1`` at ``k = 0`` and ``N/2``
+    and 2 for the conjugate pairs: ``dx u.v = sum(weights conj(u_hat) v_hat)``."""
+    m = np.full(grid.N // 2 + 1, 2.0)
+    m[[0, -1]] = 1.0
+    return (grid.dx / grid.N) * m
+
+
 class ComplexPair(NamedTuple):
     """Physical-side result of a complex-symbol multiplier."""
 
@@ -167,7 +187,6 @@ def _one_sided_symbol(grid: Grid, alpha: float, sign: float) -> np.ndarray:
     # odd part of the symbol has no well-defined phase there
     mag = np.abs(grid.w) ** alpha
     sym = mag * np.exp(1j * alpha * (np.pi / 2.0) * np.sign(sign * grid.w))
-    sym = sym.copy()
     sym[grid.nyquist_index] = 0.0
     return sym
 
@@ -198,9 +217,8 @@ def composed_operator(u: Field, alpha: float) -> Field:
     This is the exact operator of the weak form and the energy; no Nyquist
     zeroing is applied because the even symbol is well defined there.
     """
-    a = _check_alpha(alpha)
-    sym = np.abs(u.grid.w) ** (2.0 * a)
-    return Field(u.grid, np.real(_apply_symbol(u, sym)))
+    g = u.grid
+    return Field(g, np.fft.irfft(_half_symbol(g, alpha) * np.fft.rfft(u.values), g.N))
 
 
 def integrate(u: Field) -> float:
@@ -213,23 +231,17 @@ def integrate(u: Field) -> float:
 
 def refine_field(u: Field, factor: int = 2) -> Field:
     """Resample onto a grid with ``factor * N`` points (same window) by
-    spectral zero padding; the coarse Nyquist bin is split across the new
-    conjugate pair so pure-Nyquist content refines exactly."""
+    spectral zero padding; the coarse Nyquist bin is halved, its other half
+    going to the new conjugate pair, so pure-Nyquist content refines exactly."""
     if factor < 1 or int(factor) != factor:
         raise ConfigurationError(f"refinement factor must be a positive integer, got {factor}")
     g = u.grid
     if factor == 1:
         return u
     M = int(factor) * g.N
-    h = g.N // 2
-    F = np.fft.fft(u.values)
-    G = np.zeros(M, dtype=complex)
-    G[:h] = F[:h]
-    G[h] = 0.5 * F[h]
-    G[M - h] = 0.5 * np.conj(F[h])
-    G[M - h + 1 :] = F[h + 1 :]
-    fine = make_grid(g.L, M)
-    return Field(fine, np.real(np.fft.ifft(G)) * factor)
+    half = np.fft.rfft(u.values)
+    half[-1] *= 0.5
+    return Field(make_grid(g.L, M), np.fft.irfft(half, M) * factor)
 
 
 def embed_field(u: Field, wide: Grid) -> Field:

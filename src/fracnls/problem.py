@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .exceptions import ConfigurationError, HypothesisError
-from .grid import Grid, _check_alpha, make_grid
+from .grid import Grid, _half_symbol, _parseval_weights, make_grid
 
 __all__ = [
     "Nonlinearity",
@@ -497,11 +497,11 @@ class Problem:
     data of the solver loop, indexed like ``numpy.fft.rfft`` output (modes
     ``k = 0 .. N/2``):
 
-    * ``symbol``: the symbol ``|w_k|^(2 alpha)``;
-    * ``dirichlet_weights``: ``(dx/N) * m_k * symbol`` with the Parseval
-      multiplicity ``m_k`` (1 for ``k = 0`` and the Nyquist mode ``N/2``, 2
-      for the conjugate pairs), so ``sum(dirichlet_weights * |rfft(u)|^2)`` is
-      the squared seminorm;
+    * ``symbol``: the symbol ``|w_k|^(2 alpha)``, from ``grid._half_symbol``;
+    * ``dirichlet_weights``: ``symbol`` times the Parseval weights
+      ``(dx/N) * m_k`` of ``grid._parseval_weights`` (``m_k`` is 1 for
+      ``k = 0`` and the Nyquist mode ``N/2``, 2 for the conjugate pairs), so
+      ``sum(dirichlet_weights * |rfft(u)|^2)`` is the squared seminorm;
     * ``precond``: ``1 / (symbol + max V)``, the descent's preconditioner.
     """
 
@@ -515,17 +515,12 @@ class Problem:
     precond: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
+        symbol = _half_symbol(self.grid, self.alpha)
         vals = self.potential.on(self.grid)
-        g = self.grid
-        half = g.N // 2 + 1
-        symbol = np.abs(g.w[:half]) ** (2.0 * self.alpha)  # w[N/2] is the Nyquist mode
-        multiplicity = np.full(half, 2.0)
-        multiplicity[[0, -1]] = 1.0
         cached = {
             "V_values": vals,
             "symbol": symbol,
-            "dirichlet_weights": (g.dx / g.N) * multiplicity * symbol,
+            "dirichlet_weights": _parseval_weights(self.grid) * symbol,
             "precond": 1.0 / (symbol + float(np.max(vals))),
         }
         for name, a in cached.items():

@@ -1,14 +1,15 @@
 """Fractional Sobolev seminorm and the potential-weighted inner product.
 
-The order-alpha seminorm is evaluated frequency side,
+The order-alpha seminorm is evaluated frequency side on the half spectrum
+``u_hat = rfft(u)``, with the symbol and Parseval weights of ``grid``,
 
-    |u|_alpha^2 = (1/2L) * sum_k |w_k|^(2 alpha) |u_hat_k|^2
-                = (dx/N) * sum_k |w_k|^(2 alpha) |fft(u)_k|^2,
+    |u|_alpha^2 = (dx/N) * sum_{k=0}^{N/2} m_k |w_k|^(2 alpha) |u_hat_k|^2,
 
-which by the discrete Parseval identity equals the physical-side quadratic
-form ``integrate(u * composed_operator(u, alpha))`` exactly; the equivalence
-test in the verification suite pins the two representations together.  Norms
-involving the potential are computed physical side.
+where ``m_k = 1`` at ``k = 0`` and ``N/2`` and 2 for the conjugate pairs.  By
+the discrete Parseval identity it equals ``integrate(u * composed_operator(u,
+alpha))`` and the squared L2 norm of the left one-sided derivative; the tests
+and the verification suite pin these together.  Norms involving the
+potential are computed physical side.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .exceptions import AdmissibilityError
-from .grid import Field, _check_alpha
+from .grid import Field, _half_symbol, _parseval_weights
 from .problem import Potential
 
 __all__ = [
@@ -35,17 +36,24 @@ PotentialLike = Union[Potential, np.ndarray, float]
 
 
 def _potential_values(u: Field, V: PotentialLike) -> np.ndarray:
-    if isinstance(V, Potential):
-        return V.on(u.grid)
-    return np.broadcast_to(np.asarray(V, dtype=float), (u.grid.N,))
+    """V on u's grid, a scalar or N values, all finite; else AdmissibilityError."""
+    vals = V.on(u.grid) if isinstance(V, Potential) else np.asarray(V, dtype=float)
+    if vals.shape not in ((), (u.grid.N,)) or not np.all(np.isfinite(vals)):
+        raise AdmissibilityError(
+            f"potential must be finite, a scalar or N={u.grid.N} values; got shape {vals.shape}")
+    return vals
+
+
+def _dirichlet(u: Field, v: Field, alpha: float) -> float:
+    """The fractional Dirichlet form of u and v on their half spectra."""
+    uh = np.fft.rfft(u.values)
+    vh = uh if v is u else np.fft.rfft(v.values)
+    return float(np.vdot(uh, _parseval_weights(u.grid) * _half_symbol(u.grid, alpha) * vh).real)
 
 
 def seminorm_alpha(u: Field, alpha: float) -> float:
     """Frequency-side seminorm ``(integral |w|^(2 alpha) |u_hat|^2 / 2 pi)^(1/2)``."""
-    a = _check_alpha(alpha)
-    g = u.grid
-    spec2 = np.abs(np.fft.fft(u.values)) ** 2
-    return float(np.sqrt(g.dx / g.N * np.sum(np.abs(g.w) ** (2.0 * a) * spec2)))
+    return float(np.sqrt(_dirichlet(u, u, alpha)))
 
 
 def l2_norm(u: Field) -> float:
@@ -66,16 +74,12 @@ def inner_product_X(u: Field, v: Field, alpha: float, V: PotentialLike) -> float
 
     The Dirichlet part is evaluated frequency side through the real symbol
     ``|w|^(2 alpha)``, which equals the pairing of the one-sided derivatives.
+    ``V`` is a Potential, a scalar or N grid values, all finite.
     """
     if u.grid is not v.grid and (u.grid.N != v.grid.N or u.grid.L != v.grid.L):
         raise AdmissibilityError("fields live on different grids")
-    a = _check_alpha(alpha)
-    g = u.grid
-    fu = np.fft.fft(u.values)
-    fv = np.fft.fft(v.values)
-    dirichlet = g.dx / g.N * np.sum(np.abs(g.w) ** (2.0 * a) * np.real(fu * np.conj(fv)))
-    weight = g.dx * np.sum(_potential_values(u, V) * u.values * v.values)
-    return float(dirichlet + weight)
+    dirichlet = _dirichlet(u, v, alpha)
+    return float(dirichlet + u.grid.dx * np.sum(_potential_values(u, V) * u.values * v.values))
 
 
 def norm_X(u: Field, alpha: float, V: PotentialLike) -> float:

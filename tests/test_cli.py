@@ -482,6 +482,13 @@ class TestVerifyCommand:
         assert "PASS" in r.stdout
         assert "FAIL" not in r.stdout
 
+    def test_every_suite_passes(self):
+        r = run_cli("verify")
+        assert r.returncode == 0, r.stdout + r.stderr
+        assert "FAIL" not in r.stdout
+        for name in ("spectral", "spaces", "nehari", "rearrange", "theorems"):
+            assert f"suite {name}:" in r.stdout
+
     def test_unknown_suite_exits_one(self):
         r = run_cli("verify", "--suite", "nope")
         assert r.returncode == 1

@@ -317,6 +317,17 @@ class TestArrayCore:
                 direct = inner_product_X(trial, trial, prob.alpha, prob.V_values)
                 assert Q - 2.0 * t * B + t * t * Qd == pytest.approx(direct, rel=1e-12)
 
+    def test_solves_without_complex_fft(self, prob_canonical, prob_well, monkeypatch):
+        # fields are real: a solve, its level and a gap verdict take only the
+        # real transforms; the complex ones belong to the one-sided derivatives
+        def forbidden(*args, **kwargs):
+            raise AssertionError("complex FFT on the real solve path")
+
+        monkeypatch.setattr(np.fft, "fft", forbidden)
+        monkeypatch.setattr(np.fft, "ifft", forbidden)
+        assert ground_state(prob_canonical).converged
+        assert compare_c_to_c_infinity(prob_well).attained_signature
+
 
 class TestConfigValidation:
     def test_bad_grad_tol(self):

@@ -12,6 +12,7 @@ from fracnls import (
     inner_product_X,
     integrate,
     l2_norm,
+    left_lw_derivative,
     make_grid,
     norm_X,
     norm_alpha,
@@ -42,6 +43,17 @@ class TestSeminorm:
     def test_vanishes_on_constants(self, grid512):
         u = Field(grid512, np.full(grid512.N, 2.5))
         assert seminorm_alpha(u, 0.75) <= 1e-13
+
+    @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9, 1.0])
+    def test_equals_l2_norm_of_left_derivative(self, grid512, alpha):
+        # |(i w)^a|^2 = |w|^(2a): the complex one-sided symbol, no rfft code;
+        # band-limited, so the one-sided derivative's zeroed Nyquist bin is empty
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            u = random_field(grid512, rng, band_fraction=0.5)
+            left = left_lw_derivative(u, alpha)
+            expected = l2_norm(left.real) ** 2 + l2_norm(left.imag) ** 2
+            assert seminorm_alpha(u, alpha) ** 2 == pytest.approx(expected, rel=1e-12)
 
     def test_single_mode_closed_form(self):
         g = make_grid(20.0, 256)
@@ -86,6 +98,14 @@ class TestNorms:
         a = inner_product_X(u, u, 0.75, 1.0)
         b = inner_product_X(u, u, 0.75, Potential.constant(1.0))
         assert a == pytest.approx(b, rel=1e-14)
+
+    @pytest.mark.parametrize("V", [np.nan, np.inf, np.r_[np.ones(511), np.nan], np.ones(10),
+                                   np.ones((2, 512))])
+    def test_bad_potential_rejected(self, grid512, V):
+        # a non-finite V or one that is not N values is the caller's error
+        u = random_field(grid512, np.random.default_rng(16))
+        with pytest.raises(AdmissibilityError):
+            inner_product_X(u, u, 0.75, V)
 
     def test_coercivity_floor(self, grid512):
         # with V >= V0 the X norm dominates sqrt(min(1, V0)) * the alpha norm
