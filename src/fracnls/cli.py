@@ -30,7 +30,7 @@ from .nehari import level_c_infinity
 from .problem import (NONLINEARITY_KEYS, Problem, config_number, config_section,
                       problem_from_config)
 from .rearrange import polya_szego_check, rearrange, rearrange_values
-from .solver import GaussianBump, GroundStateReport, SolverConfig, default_start, ground_state
+from .solver import GaussianBump, GroundStateReport, SolverConfig, ground_state
 from .verify import SUITES, run_suite
 
 _USER_ERRORS = (
@@ -141,8 +141,8 @@ def _c_infinity(prob: Problem, cfg: SolverConfig, report: GroundStateReport) -> 
         return report.c, True
     if not prob.potential.below_Vinf:
         return math.nan, True
-    est = level_c_infinity(prob, [default_start(prob.grid)], cfg=cfg)
-    return est.c, est.converged
+    inf = level_c_infinity(prob, cfg=cfg)
+    return inf.c, inf.converged
 
 
 def _run_point(prob: Problem, scfg: SolverConfig, refine: bool) -> tuple:
@@ -233,26 +233,16 @@ def cmd_ground_state(args) -> int:
 # -------------------------------------------------------------------- sweep
 
 _SWEEP_PARAMETERS = ("epsilon", "alpha", "p", "L", "N")
+_SWEEP_COLUMNS = ("parameter", "value", "c", "c_inf", "residual", "symmetry_defect",
+                  "iterations", "converged", "refinement_drift", "truncation_err", "status")
 
 
 def _sweep_point(task) -> dict:
-    """One row of the sweep.  A point whose start or ray cannot be projected is
-    marked ``error:<name>`` and the sweep goes on; configuration and hypothesis
-    errors propagate, because they are the user's to fix (exit 1)."""
+    """One row of the sweep, keyed by ``_SWEEP_COLUMNS``.  A point whose start
+    or ray cannot be projected is marked ``error:<name>`` and the sweep goes
+    on; configuration and hypothesis errors propagate, because they are the
+    user's to fix (exit 1)."""
     base_cfg, parameter, value, refine = task
-    row = {
-        "parameter": parameter,
-        "value": value,
-        "c": math.nan,
-        "c_inf": math.nan,
-        "residual": math.nan,
-        "symmetry_defect": math.nan,
-        "iterations": 0,
-        "converged": False,
-        "refinement_drift": math.nan,
-        "truncation_err": math.nan,
-        "status": "ok",
-    }
     cfg = copy.deepcopy(base_cfg)
     eps = 0.0
     number = config_number(value, "sweep.values", int if parameter == "N" else float)
@@ -266,33 +256,24 @@ def _sweep_point(task) -> dict:
         nl_cfg = dict(config_section(cfg, "nonlinearity", NONLINEARITY_KEYS), p=number)
         nl_cfg.pop("p0", None)
         cfg["nonlinearity"] = nl_cfg
-    else:
-        raise ConfigurationError(
-            f"unknown sweep parameter {parameter!r}; choose from {_SWEEP_PARAMETERS}"
-        )
     prob = problem_from_config(cfg)
     if eps != 0.0:
         prob = prob.with_potential(prob.potential.shifted(eps))
     try:
         report, c_inf, drift, trunc, stalled = _run_point(prob, _solver_config(cfg), refine)
     except (AdmissibilityError, ProjectionError) as e:
-        row["status"] = f"error:{type(e).__name__}"
-        return row
-    row.update(
-        c=report.c,
-        c_inf=c_inf,
-        residual=report.residual,
-        symmetry_defect=report.symmetry_defect,
-        iterations=report.iterations,
-        converged=report.converged,
-        refinement_drift=drift,
-        truncation_err=trunc,
-        status="ok" if report.converged and not stalled else "nonconverged",
-    )
-    return row
+        nan = math.nan
+        values = (nan, nan, nan, nan, 0, False, nan, nan, f"error:{type(e).__name__}")
+    else:
+        status = "ok" if report.converged and not stalled else "nonconverged"
+        values = (report.c, c_inf, report.residual, report.symmetry_defect,
+                  report.iterations, report.converged, drift, trunc, status)
+    return dict(zip(_SWEEP_COLUMNS, (parameter, value, *values)))
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
     cfg, digest = _load_config(args.config)
     sweep = config_section(cfg, "sweep", ("parameter", "values"))
     values = sweep.get("values")
@@ -312,19 +293,18 @@ def cmd_sweep(args) -> int:
     base_cfg = {k: v for k, v in cfg.items() if k != "sweep"}
     tasks = [(base_cfg, parameter, v, args.refine) for v in values]
     if args.jobs > 1:
-        # imported here: it loads multiprocessing, which --jobs 1 never needs
+        # imported here: it loads multiprocessing, which --jobs 1 never needs;
+        # a fork pool starts all its workers at once, so no more than the points
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             rows = list(pool.map(_sweep_point, tasks))  # pool.map keeps input order
     else:
         rows = [_sweep_point(t) for t in tasks]
 
-    header = ["parameter", "value", "c", "c_inf", "residual", "symmetry_defect",
-              "iterations", "converged", "refinement_drift", "truncation_err", "status"]
     tag = str(cfg.get("tag", "sweep"))
     csv_path = out_dir / f"{tag}_sweep_{parameter}.csv"
-    _write_csv(csv_path, header, [[r[k] for k in header] for r in rows])
+    _write_csv(csv_path, _SWEEP_COLUMNS, [r.values() for r in rows])
     manifest.outputs = [csv_path.name]
     manifest.write(out_dir)
 

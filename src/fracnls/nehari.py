@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -65,6 +65,9 @@ from .grid import Field
 from .problem import Potential, Problem
 from .rearrange import rearrange_values
 from .spaces import inner_product_X
+
+if TYPE_CHECKING:
+    from .solver import GroundStateReport
 
 __all__ = [
     "nehari_project",
@@ -91,17 +94,6 @@ class FiberingReport:
     bracket: tuple
     iterations: int
     nehari_residual: float
-
-
-@dataclass(frozen=True)
-class LevelEstimate:
-    """Best level found over the supplied starts; c is positive for every
-    validated problem."""
-
-    c: float
-    minimizer: Field
-    iterations: int = 0
-    converged: bool = True
 
 
 def _bracket(m) -> tuple:
@@ -227,10 +219,12 @@ def _symmetric_start(values: np.ndarray) -> np.ndarray:
 
 def level_c(
     prob: Problem,
-    starts: Sequence[Field],
+    starts: Optional[Sequence[Field]] = None,
     cfg=None,
-) -> LevelEstimate:
-    """Minimize I over the manifold from each start; keep the best level.
+) -> GroundStateReport:
+    """Minimize I over the manifold from each start (by default the centred
+    ``solver.default_start``); return the ``solver.GroundStateReport`` of the
+    best run, the converged run of lowest level if any run converged.
 
     When the potential is flagged ``radial_increasing`` (even and
     nondecreasing in |t|), each start is first replaced by the exactly even
@@ -240,8 +234,10 @@ def level_c(
     keeps a start without positive part inadmissible.  Starts on any other
     potential are taken as given.
     """
-    from .solver import SolverConfig, ground_state
+    from .solver import SolverConfig, default_start, ground_state
 
+    if starts is None:
+        starts = [default_start(prob.grid)]
     if not starts:
         raise AdmissibilityError("at least one start is required")
     cfg = cfg if cfg is not None else SolverConfig()
@@ -256,20 +252,14 @@ def level_c(
     if not runs:
         raise AdmissibilityError("no admissible start among the supplied fields")
     converged = [r for r in runs if r.converged]
-    best = min(converged or runs, key=lambda r: r.c)
-    return LevelEstimate(
-        c=best.c,
-        minimizer=best.u,
-        iterations=best.iterations,
-        converged=best.converged,
-    )
+    return min(converged or runs, key=lambda r: r.c)
 
 
 def level_c_infinity(
     prob: Problem,
-    starts: Sequence[Field],
+    starts: Optional[Sequence[Field]] = None,
     cfg=None,
-) -> LevelEstimate:
+) -> GroundStateReport:
     """The level of the limiting problem: V frozen at the constant V_inf."""
     flat = Potential.constant(prob.potential.V_inf)
     return level_c(prob.with_potential(flat), starts, cfg=cfg)
@@ -296,10 +286,6 @@ def compare_levels(
     b_vals = V_b.on(prob.grid)
     if np.min(a_vals - b_vals) < -1e-12:
         raise AdmissibilityError("V_a must dominate V_b pointwise for the comparison")
-    if starts is None:
-        from .solver import default_start
-
-        starts = [default_start(prob.grid)]
     c_a = level_c(prob.with_potential(V_a), starts, cfg=cfg).c
     c_b = level_c(prob.with_potential(V_b), starts, cfg=cfg).c
     return LevelComparison(c_a=c_a, c_b=c_b, margin=c_a - c_b, ordered=c_a >= c_b - LEVEL_TOL)
@@ -334,10 +320,6 @@ def continuity_sweep(
     in eps and whether |c(eps) - c(0)| shrinks as eps does; both verdicts are
     reported, not raised, so sweeps aggregate partial behavior.
     """
-    if starts is None:
-        from .solver import default_start
-
-        starts = [default_start(prob.grid)]
     base = level_c(prob.with_potential(V), starts, cfg=cfg)
     rows = []
     for eps in sorted({0.0, *(float(e) for e in epsilons)}):

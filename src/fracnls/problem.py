@@ -298,9 +298,8 @@ class Potential:
     """Potential ``V`` with floor ``V0``, asymptotic constant ``V_inf``, flags.
 
     The evaluator is one of an expression string in the variable ``t`` (a
-    restricted numpy namespace), a table of grid values, or a callable.
-    Expression and table forms survive pickling, which the parallel sweep
-    path relies on.
+    restricted numpy namespace) or a table of grid values.  Both survive
+    pickling, which the parallel sweep path relies on.
 
     An expression may use only int and float literals, ``t``, the names in
     ``_EXPR_NAMES``, unary, binary and single (unchained) comparison
@@ -338,20 +337,17 @@ class Potential:
         V_inf: float,
         expr: Optional[str] = None,
         table: Optional[Sequence[float]] = None,
-        func: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         radial_increasing: bool = False,
         below_Vinf: bool = False,
     ) -> None:
-        given = sum(x is not None for x in (expr, table, func))
-        if given != 1:
-            raise ConfigurationError("exactly one of expr, table, func must be given")
+        if (expr is None) == (table is None):
+            raise ConfigurationError("exactly one of expr, table must be given")
         if expr is not None:
             self._check_expr(expr)
         self.V0 = float(V0)
         self.V_inf = float(V_inf)
         self.expr = expr
         self.table = None if table is None else np.asarray(table, dtype=float)
-        self.func = func
         self.radial_increasing = bool(radial_increasing)
         self.below_Vinf = bool(below_Vinf)
         if self.V0 <= 0.0:
@@ -392,10 +388,6 @@ class Potential:
     def from_table(cls, values: Sequence[float], V0: float, V_inf: float, **flags) -> "Potential":
         return cls(V0=V0, V_inf=V_inf, table=values, **flags)
 
-    @classmethod
-    def from_callable(cls, func: Callable, V0: float, V_inf: float, **flags) -> "Potential":
-        return cls(V0=V0, V_inf=V_inf, func=func, **flags)
-
     def on(self, grid: Grid) -> np.ndarray:
         """Evaluate on the grid points, always returning a length-N array."""
         if self.expr is not None:
@@ -405,14 +397,12 @@ class Potential:
                 vals = eval(self.expr, {"__builtins__": {}}, names)  # noqa: S307 grammar checked in __init__
             except (ArithmeticError, TypeError, ValueError) as e:
                 raise ConfigurationError(f"potential expression {self.expr!r} fails: {e}") from None
-        elif self.table is not None:
+        else:
             if self.table.shape != (grid.N,):
                 raise ConfigurationError(
                     f"potential table has length {self.table.shape[0]}, grid has N={grid.N}"
                 )
             vals = self.table
-        else:
-            vals = self.func(grid.x)
         out = np.broadcast_to(np.asarray(vals, dtype=float), (grid.N,)).copy()
         if not np.all(np.isfinite(out)):
             raise ConfigurationError("potential evaluates to non-finite values on the grid")
@@ -431,10 +421,7 @@ class Potential:
         )
         if self.expr is not None:
             return Potential(expr=f"({self.expr}) + ({eps!r})", **kw)
-        if self.table is not None:
-            return Potential(table=self.table + eps, **kw)
-        f = self.func
-        return Potential(func=lambda t, _f=f, _e=eps: _f(t) + _e, **kw)
+        return Potential(table=self.table + eps, **kw)
 
 
 def validate_potential(V: Potential, grid: Grid, edge_tol: float = 0.05) -> ValidationReport:

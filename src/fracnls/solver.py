@@ -67,6 +67,7 @@ which of the loop's three exits was taken.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence, Union
@@ -142,17 +143,35 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class GroundStateReport:
+    """What a descent produced; the level and the diagnostics derive from it.
+
+    The two diagnostics are computed from ``u`` on first read, so a solve
+    whose caller reads neither pays for neither.
+    """
+
     u: Field
-    c: float
     residual: float
-    nonneg_violation: float
-    symmetry_defect: float
     iterations: int
-    converged: bool
     # "converged" (residual at most grad_tol), "budget" (max_iters steps
     # taken) or "collapsed" (no trial step passed the decrease test)
     stop_reason: str
     energy: EnergyBreakdown
+
+    @property
+    def c(self) -> float:
+        return self.energy.total
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
+
+    @functools.cached_property
+    def nonneg_violation(self) -> float:
+        return nonneg_violation(self.u)
+
+    @functools.cached_property
+    def symmetry_defect(self) -> float:
+        return _symmetry_defect(self.u, rearrange_values(self.u.values))
 
 
 def default_start(grid: Grid) -> Field:
@@ -338,18 +357,7 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None) -> GroundSta
     u = Field(grid, u)
     if res is None:
         res = weak_residual_norm(u, prob)
-    energy = evaluate_I(u, prob)
-    return GroundStateReport(
-        u=u,
-        c=energy.total,
-        residual=res,
-        nonneg_violation=nonneg_violation(u),
-        symmetry_defect=_symmetry_defect(u, rearrange_values(u.values)),
-        iterations=iterations,
-        converged=stop_reason == "converged",
-        stop_reason=stop_reason,
-        energy=energy,
-    )
+    return GroundStateReport(u, res, iterations, stop_reason, evaluate_I(u, prob))
 
 
 def check_nonnegativity(report_or_field, tol: float = 1e-6) -> CheckResult:
@@ -394,8 +402,6 @@ def compare_c_to_c_infinity(
         raise AdmissibilityError(
             f"V exceeds V_inf by {over:.3e} somewhere; the gap comparison needs V <= V_inf"
         )
-    if starts is None:
-        starts = [default_start(prob.grid)]
     est = level_c(prob, starts, cfg=cfg)
     est_inf = level_c_infinity(prob, starts, cfg=cfg)
     gap = est_inf.c - est.c

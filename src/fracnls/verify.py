@@ -22,7 +22,6 @@ from .solver import (
     SolverConfig,
     check_nonnegativity,
     compare_c_to_c_infinity,
-    default_start,
     ground_state,
     symmetry_diagnostic,
 )
@@ -316,8 +315,7 @@ def suite_theorems(seed: int = 0) -> list:
 
     from .nehari import continuity_sweep
 
-    table = continuity_sweep(prob.potential, [0.4, 0.2, 0.1, 0.05], prob,
-                             starts=[default_start(prob.grid)], cfg=cfg)
+    table = continuity_sweep(prob.potential, [0.4, 0.2, 0.1, 0.05], prob, cfg=cfg)
     cs = sorted((r.eps, r.c) for r in table.rows if r.eps > 0.0)
     strict = all(b > a + 1e-6 for (_, a), (_, b) in zip([(0.0, table.c_base)] + cs, cs))
     out.append(_result("level increases strictly with the potential", table.monotone and strict,

@@ -3,6 +3,8 @@
 Adding or removing an export must update this list on purpose.
 """
 
+import dataclasses
+
 import pytest
 
 import fracnls
@@ -85,3 +87,9 @@ def test_every_listed_name_resolves():
 def test_removed_name_not_importable(name):
     with pytest.raises(ImportError):
         exec(f"from fracnls import {name}", {})
+
+
+def test_report_stores_only_what_the_descent_produced():
+    # c, converged and the two diagnostics derive from these five fields
+    fields = [f.name for f in dataclasses.fields(fracnls.GroundStateReport)]
+    assert fields == ["u", "residual", "iterations", "stop_reason", "energy"]

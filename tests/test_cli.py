@@ -214,6 +214,43 @@ class TestSweepCommand:
         fb = (out_b / "well_sweep_epsilon.csv").read_bytes()
         assert fa == fb
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_a_user_error(self, tmp_path, capsys, jobs):
+        code, _, err = main_in_process(capsys, "sweep", WELL, tmp_path, "--jobs", jobs)
+        assert code == 1
+        assert "--jobs" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_pool_is_no_larger_than_the_sweep(self, tmp_path, capsys, monkeypatch):
+        # a fork pool starts all its workers on the first submit; an in-process
+        # fake records the size asked for, so no real pool is started
+        import concurrent.futures
+
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+        serial.mkdir()
+        pooled.mkdir()
+        assert main_in_process(capsys, "sweep", WELL, serial)[0] == 0
+        assert main_in_process(capsys, "sweep", WELL, pooled, "--jobs", "64")[0] == 0
+        assert asked == [3]
+        csv_name = "out/well_sweep_epsilon.csv"
+        assert (pooled / csv_name).read_bytes() == (serial / csv_name).read_bytes()
+
     # a narrow start 5 beyond the L = 20 window is about 1e-87 at its edge,
     # where u^4 underflows to 0: the point solves once the start is scaled
     def test_start_underflowing_on_window_solves(self, tmp_path, capsys):
@@ -309,7 +346,7 @@ class TestLimitingLevel:
 
         def stalled(*args, **kwargs):
             out = real(*args, **kwargs)
-            return replace(out, converged=False) if when(*args) else out
+            return replace(out, stop_reason="budget") if when(*args) else out
 
         monkeypatch.setattr(cli, name, stalled)
 

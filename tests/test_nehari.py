@@ -14,6 +14,7 @@ from fracnls import (
     AdmissibilityError,
     Field,
     GaussianBump,
+    GroundStateReport,
     Potential,
     ProjectionError,
     SolverConfig,
@@ -136,7 +137,23 @@ class TestLevels:
         ]
         est = level_c(prob512, starts, cfg=FAST)
         assert est.converged
-        assert est.c == pytest.approx(evaluate_I(est.minimizer, prob512).total, rel=1e-12)
+        assert est.c == pytest.approx(evaluate_I(est.u, prob512).total, rel=1e-12)
+
+    @pytest.mark.parametrize("level", [level_c, level_c_infinity])
+    def test_returns_the_best_runs_report(self, prob_well, level):
+        rep = level(prob_well, cfg=FAST)
+        assert isinstance(rep, GroundStateReport)
+        assert rep.converged
+        assert rep.c == rep.energy.total
+        assert rep.residual <= FAST.grad_tol
+
+    def test_default_start_is_the_centred_bump(self, prob512):
+        default = level_c(prob512)
+        given = level_c(prob512, [default_start(prob512.grid)])
+        assert default.c.hex() == given.c.hex()
+        assert default.iterations == given.iterations
+        assert default.stop_reason == given.stop_reason
+        assert np.array_equal(default.u.values, given.u.values)
 
     def test_level_c_skips_inadmissible_starts(self, prob512):
         starts = [

@@ -188,6 +188,11 @@ class TestPotential:
         with pytest.raises(ConfigurationError, match="table"):
             V.on(g)
 
+    @pytest.mark.parametrize("forms", [{}, {"expr": "1.0", "table": np.ones(64)}])
+    def test_exactly_one_evaluator(self, forms):
+        with pytest.raises(ConfigurationError, match="exactly one"):
+            Potential(V0=1.0, V_inf=1.0, **forms)
+
     def test_shifted_expr(self):
         g = make_grid(10.0, 64)
         V = Potential.from_expr(WELL_EXPR, V0=1.0, V_inf=2.0)

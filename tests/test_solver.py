@@ -27,6 +27,8 @@ from fracnls import (
     gradient_I,
     ground_state,
     inner_product_X,
+    level_c,
+    level_c_infinity,
     make_grid,
     make_problem,
     nehari_project,
@@ -386,6 +388,21 @@ class TestSymmetryDiagnostic:
         rep = ground_state(prob)
         with pytest.raises(AdmissibilityError):
             symmetry_diagnostic(rep, prob)
+
+    def test_defect_is_computed_once_on_first_read(self, prob_well, monkeypatch):
+        # the report's diagnostics are the only callers of solver.rearrange_values
+        # in a solve (the symmetric start calls nehari's own binding)
+        calls = []
+        real = solver.rearrange_values
+        monkeypatch.setattr(solver, "rearrange_values",
+                            lambda v: calls.append(1) or real(v))
+        rep = level_c(prob_well)
+        level_c_infinity(prob_well)
+        assert calls == []
+        first = rep.symmetry_defect
+        assert len(calls) == 1
+        assert rep.symmetry_defect == first
+        assert len(calls) == 1
 
     def test_asymmetric_start_converges_to_symmetric(self, prob_well):
         cfg = SolverConfig(start=GaussianBump(center=0.7, width=1.2))
