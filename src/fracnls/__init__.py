@@ -57,24 +57,24 @@ from .energy import (
     gradient_I,
     weak_residual_norm,
 )
-from .nehari import (
-    LEVEL_TOL,
-    compare_levels,
-    continuity_sweep,
-    level_c,
-    level_c_infinity,
-    nehari_project,
-)
 from .solver import (
     GaussianBump,
     GroundStateReport,
     SolverConfig,
     check_nonnegativity,
-    compare_c_to_c_infinity,
     default_start,
     ground_state,
     random_starts,
     symmetry_diagnostic,
+)
+from .nehari import (
+    LEVEL_TOL,
+    compare_c_to_c_infinity,
+    compare_levels,
+    continuity_sweep,
+    level_c,
+    level_c_infinity,
+    nehari_project,
 )
 from .rearrange import (
     layer_cake_check,
@@ -123,6 +123,7 @@ __all__ = [
     "gradient_I",
     "weak_residual_norm",
     "LEVEL_TOL",
+    "compare_c_to_c_infinity",
     "compare_levels",
     "continuity_sweep",
     "level_c",
@@ -132,7 +133,6 @@ __all__ = [
     "GroundStateReport",
     "SolverConfig",
     "check_nonnegativity",
-    "compare_c_to_c_infinity",
     "default_start",
     "ground_state",
     "random_starts",

@@ -29,7 +29,7 @@ from .grid import Field, embed_field, make_grid, refine_field
 from .nehari import level_c_infinity
 from .problem import (NONLINEARITY_KEYS, Problem, config_number, config_section,
                       problem_from_config)
-from .rearrange import polya_szego_check, rearrange, rearrange_values
+from .rearrange import polya_szego_check, rearrange
 from .solver import GaussianBump, GroundStateReport, SolverConfig, ground_state
 from .verify import SUITES, run_suite
 
@@ -102,9 +102,22 @@ def _digest(raw: bytes) -> str:
 # ------------------------------------------------------------- config plumbing
 
 
+# the problem's keys (see problem_from_config), the output tag and two sections
+_CONFIG_KEYS = ("tag", "alpha", "L", "N", "nonlinearity", "potential", "edge_tol", "solver", "sweep")
+
+
 def _load_config(path: str) -> tuple:
+    """The config object and the digest of its bytes; a top level that is not
+    an object, or has a key outside ``_CONFIG_KEYS``, is a ConfigurationError."""
     raw = Path(path).read_bytes()
-    return json.loads(raw), _digest(raw)
+    cfg = json.loads(raw)
+    if not isinstance(cfg, dict):
+        raise ConfigurationError(f"config must be a JSON object, got {cfg!r:.60}")
+    for k, v in cfg.items():
+        if k not in _CONFIG_KEYS:
+            raise ConfigurationError(
+                f"unknown config key {k!r} (set to {v!r}); choose from {_CONFIG_KEYS}")
+    return cfg, _digest(raw)
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
@@ -210,14 +223,13 @@ def cmd_ground_state(args) -> int:
 
     tag = str(cfg.get("tag", "ground_state"))
     base = f"{tag}_{prob.alpha:g}_{prob.grid.N}"
-    star = rearrange_values(report.u.values)
     json_path = out_dir / f"{base}.json"
     csv_path = out_dir / f"{base}.csv"
     _write_json(json_path, _report_json(prob, report, c_inf, drift, trunc))
     _write_csv(
         csv_path,
         ["x", "u", "u_star"],
-        list(zip(prob.grid.x, report.u.values, star)),
+        list(zip(prob.grid.x, report.u.values, report.u_star)),
     )
     manifest.outputs = [json_path.name, csv_path.name]
     manifest.write(out_dir)

@@ -1,39 +1,16 @@
-"""Ray projection onto the constraint manifold and the ground-state level.
+"""The ground-state level and its comparisons.
 
-Along the ray sigma -> sigma*u the energy psi(sigma) = I(sigma*u) rises,
-peaks once, and falls; the peak sigma_u is the unique solution of
+The level
 
-    ||u||_X^2 = integral f(sigma*u) u / sigma,
+    c = inf { I(v) : v != 0, I'(v)v = 0 }
 
-and sigma_u * u lies on the manifold { v != 0 : I'(v)v = 0 }.  The level
-
-    c = inf { I(v) : v on the manifold }
-
-is computed by descent over ray directions (module ``solver``), never by
-explicit path optimization: the mountain-pass level and the manifold
-infimum coincide, and paths are never represented as data.
-
-One array-level projection, ``project_ray``, serves the descent loop and
-``nehari_project``; it takes the ray's values and ``Q = ||u||_X^2``, so a
-caller that knows Q needs no transform.  For the power nonlinearity
-f(xi) = xi_+^p the peak has the closed form
-
-    sigma_u^(p-1) = Q / integral u_+^(p+1),    psi_max = (1/2 - 1/(p+1)) sigma_u^2 Q,
-
-with the integral taken as the dot product ``f(u) . u`` (for an integer p,
-``f`` is a product of squares, with no float power) and no separate
-positivity test: a ray whose integral is not a positive finite
-number (no positive part, or values whose powers underflow to 0 or
-overflow) raises ``ProjectionError``.
-
-For any other nonlinearity the mismatch
-
-    m(sigma) = Q - integral f(sigma*u) u / sigma
-
-is bracketed by doubling or halving away from sigma = 1, and the root is
-refined by regula falsi with the Illinois modification to a relative width
-of 4 machine epsilons; strict monotonicity of m under the f-hypotheses
-guarantees a single root.
+is computed by descent over ray directions (module ``solver``), each ray
+meeting the manifold at the maximum of I along it (``energy.project_ray``,
+certified by ``nehari_project``), never by explicit path optimization: the
+mountain-pass level and the manifold infimum coincide.  ``compare_levels``
+orders the levels of two pointwise-ordered potentials; the gap verdict
+``compare_c_to_c_infinity`` is that comparison against the flat limit V_inf,
+where a strict gap c < c_inf is the signature that the level is attained.
 
 The level functions seek c in the symmetric class when the potential is
 flagged ``radial_increasing`` (even and nondecreasing in |t|; checked as (V5)
@@ -47,41 +24,36 @@ iterations in the slow translation mode.  The discrete rearrangement is even
 only up to a one-cell parity offset, a translation by dx/2 that a tight
 ``grad_tol`` stalls on, so the profile is averaged with its mirror about
 x = 0.  ``level_c_infinity``, ``compare_levels``, ``continuity_sweep`` and
-``solver.compare_c_to_c_infinity`` all go through ``level_c``;
+``compare_c_to_c_infinity`` all go through ``level_c``;
 ``solver.ground_state`` descends from the start it is given, whatever the
 potential.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from .energy import project_ray
 from .exceptions import AdmissibilityError, ProjectionError
 from .grid import Field
 from .problem import Potential, Problem
 from .rearrange import rearrange_values
+from .solver import GroundStateReport, SolverConfig, default_start, ground_state
 from .spaces import inner_product_X
-
-if TYPE_CHECKING:
-    from .solver import GroundStateReport
 
 __all__ = [
     "nehari_project",
     "level_c",
     "level_c_infinity",
     "compare_levels",
+    "compare_c_to_c_infinity",
     "continuity_sweep",
 ]
 
 LEVEL_TOL = 1e-6  # absolute comparison tolerance on c, set by multistart scatter
-
-_MAX_BRACKET_STEPS = 200
-_MAX_ROOT_STEPS = 200
-_RTOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -96,96 +68,6 @@ class FiberingReport:
     nehari_residual: float
 
 
-def _bracket(m) -> tuple:
-    """(lo, hi, m(lo), m(hi), evaluations) with m(lo) >= 0 >= m(hi), hi = 2 lo
-    unless the root is exactly 1."""
-    lo = hi = 1.0
-    m_lo = m_hi = m(1.0)
-    steps = 0
-    while m_hi > 0.0:  # root lies above: double until the mismatch turns
-        steps += 1
-        if steps > _MAX_BRACKET_STEPS:
-            raise ProjectionError(f"mismatch stayed positive up to sigma={hi:.3e}; "
-                                  "nonlinearity may be subcritical on this ray")
-        lo, m_lo = hi, m_hi
-        hi *= 2.0
-        m_hi = m(hi)
-    while m_lo < 0.0:  # root lies below: halve until the mismatch turns
-        steps += 1
-        if steps > _MAX_BRACKET_STEPS:
-            raise ProjectionError(f"mismatch stayed negative down to sigma={lo:.3e}; "
-                                  "f(xi)/xi may not vanish at 0+ on this ray")
-        hi, m_hi = lo, m_lo
-        lo /= 2.0
-        m_lo = m(lo)
-    return lo, hi, m_lo, m_hi, steps + 1
-
-
-def _illinois(m, lo: float, hi: float, m_lo: float, m_hi: float) -> tuple:
-    """Root of the decreasing m on [lo, hi], where m(lo) > 0 > m(hi), by
-    regula falsi; an end point kept twice in a row has its value halved
-    (Illinois), so both ends close in.  Returns (root, evaluations)."""
-    kept = 0  # +1 after lo moved, -1 after hi moved
-    for n in range(_MAX_ROOT_STEPS):
-        x = (lo * m_hi - hi * m_lo) / (m_hi - m_lo)
-        if hi - lo <= _RTOL * x or not lo < x < hi:
-            return x, n
-        mx = m(x)
-        if mx > 0.0:
-            lo, m_lo = x, mx
-            if kept == 1:
-                m_hi *= 0.5
-            kept = 1
-        elif mx < 0.0:
-            hi, m_hi = x, mx
-            if kept == -1:
-                m_lo *= 0.5
-            kept = -1
-        else:
-            return x, n + 1
-    return x, _MAX_ROOT_STEPS
-
-
-def project_ray(vals: np.ndarray, Q: float, prob: Problem) -> tuple:
-    """Peak of the fibering map of the ray through ``vals``, whose squared
-    X-norm is ``Q``: ``(sigma_u, psi_max, bracket, mismatch evaluations)``.
-
-    Rejects rays without positive part: f vanishes on xi <= 0, so psi is a
-    pure upward parabola there and never crosses.  On the power path a ray
-    whose ``integral u_+^(p+1)`` underflows to 0 or overflows is rejected
-    the same way, as its peak is not representable.
-    """
-    nl = prob.nonlinearity
-    dx = prob.grid.dx
-    if nl.kind == "power":
-        # f(u) u = u_+^(p+1), with no float power for an integer p
-        S = dx * float(nl.f(vals) @ vals)
-        if not 0.0 < S < math.inf:
-            raise ProjectionError(f"integral of u_+^(p+1) on the ray is {S!r}: no positive "
-                                  "part, or one out of floating-point range")
-    elif not np.any(vals > 0.0):
-        raise ProjectionError("ray has no positive part, the fibering map has no maximizer")
-    if Q <= 0.0:
-        raise AdmissibilityError("zero field cannot be projected")
-    if nl.kind == "power":
-        p = nl.p
-        sigma = (Q / S) ** (1.0 / (p - 1.0))
-        return sigma, (0.5 - 1.0 / (p + 1.0)) * sigma * sigma * Q, (sigma, sigma), 0
-
-    def m(sigma: float) -> float:
-        return Q - dx * float(np.sum(nl.f(sigma * vals) * vals)) / sigma
-
-    lo, hi, m_lo, m_hi, evals = _bracket(m)
-    if m_hi == 0.0:
-        sigma, n = hi, 0
-    elif m_lo == 0.0:
-        sigma, n = lo, 0
-    else:
-        sigma, n = _illinois(m, lo, hi, m_lo, m_hi)
-    psi = 0.5 * sigma * sigma * Q - dx * float(np.sum(nl.F(sigma * vals)))
-    return sigma, psi, (lo, hi), evals + n
-
-
 def nehari_project(u: Field, prob: Problem) -> FiberingReport:
     """Unique sigma_u > 0 with sigma_u * u on the manifold, certified by the
     manifold residual ``I'(v)v`` of the projected point ``v``."""
@@ -193,13 +75,8 @@ def nehari_project(u: Field, prob: Problem) -> FiberingReport:
     sigma, psi, bracket, evals = project_ray(u.values, Q, prob)
     v = sigma * u.values
     residual = sigma * sigma * Q - u.grid.dx * float(np.sum(prob.nonlinearity.f(v) * v))
-    return FiberingReport(
-        sigma_u=float(sigma),
-        psi_max=float(psi),
-        bracket=bracket,
-        iterations=evals,
-        nehari_residual=float(residual),
-    )
+    return FiberingReport(sigma_u=float(sigma), psi_max=float(psi), bracket=bracket,
+                          iterations=evals, nehari_residual=float(residual))
 
 
 def _symmetric_start(values: np.ndarray) -> np.ndarray:
@@ -220,11 +97,11 @@ def _symmetric_start(values: np.ndarray) -> np.ndarray:
 def level_c(
     prob: Problem,
     starts: Optional[Sequence[Field]] = None,
-    cfg=None,
+    cfg: Optional[SolverConfig] = None,
 ) -> GroundStateReport:
     """Minimize I over the manifold from each start (by default the centred
-    ``solver.default_start``); return the ``solver.GroundStateReport`` of the
-    best run, the converged run of lowest level if any run converged.
+    ``default_start``); return the ``GroundStateReport`` of the best run,
+    the converged run of lowest level if any run converged.
 
     When the potential is flagged ``radial_increasing`` (even and
     nondecreasing in |t|), each start is first replaced by the exactly even
@@ -234,8 +111,6 @@ def level_c(
     keeps a start without positive part inadmissible.  Starts on any other
     potential are taken as given.
     """
-    from .solver import SolverConfig, default_start, ground_state
-
     if starts is None:
         starts = [default_start(prob.grid)]
     if not starts:
@@ -258,11 +133,10 @@ def level_c(
 def level_c_infinity(
     prob: Problem,
     starts: Optional[Sequence[Field]] = None,
-    cfg=None,
+    cfg: Optional[SolverConfig] = None,
 ) -> GroundStateReport:
     """The level of the limiting problem: V frozen at the constant V_inf."""
-    flat = Potential.constant(prob.potential.V_inf)
-    return level_c(prob.with_potential(flat), starts, cfg=cfg)
+    return level_c(prob.with_potential(Potential.constant(prob.potential.V_inf)), starts, cfg=cfg)
 
 
 @dataclass(frozen=True)
@@ -278,17 +152,46 @@ def compare_levels(
     V_b: Potential,
     prob: Problem,
     starts: Optional[Sequence[Field]] = None,
-    cfg=None,
+    cfg: Optional[SolverConfig] = None,
 ) -> LevelComparison:
-    """Levels under two pointwise-ordered potentials; the larger potential
-    cannot have the smaller level."""
+    """Levels under potentials with V_a >= V_b on the grid, to roundoff of the
+    size of V_a; the larger potential cannot have the smaller level."""
     a_vals = V_a.on(prob.grid)
-    b_vals = V_b.on(prob.grid)
-    if np.min(a_vals - b_vals) < -1e-12:
-        raise AdmissibilityError("V_a must dominate V_b pointwise for the comparison")
+    excess = float(np.max(V_b.on(prob.grid) - a_vals))
+    if excess > 1e-12 * max(1.0, float(np.max(np.abs(a_vals)))):
+        raise AdmissibilityError(f"V_b exceeds V_a by {excess:.3e} somewhere; the comparison "
+                                 "needs V_a >= V_b (in the gap verdict, V <= V_inf)")
     c_a = level_c(prob.with_potential(V_a), starts, cfg=cfg).c
     c_b = level_c(prob.with_potential(V_b), starts, cfg=cfg).c
     return LevelComparison(c_a=c_a, c_b=c_b, margin=c_a - c_b, ordered=c_a >= c_b - LEVEL_TOL)
+
+
+@dataclass(frozen=True)
+class GapVerdict:
+    """c against the level of the limiting problem; a strict gap is the
+    computable signature that the level is attained."""
+
+    c: float
+    c_infinity: float
+    gap: float
+    attained_signature: bool
+    tol: float
+
+
+def compare_c_to_c_infinity(
+    prob: Problem,
+    cfg: Optional[SolverConfig] = None,
+    starts: Optional[Sequence[Field]] = None,
+) -> GapVerdict:
+    """``compare_levels`` of the flat limit V_inf against V.
+
+    Precondition: V never exceeds V_inf on the grid (the degenerate case
+    V identically V_inf is allowed and yields a zero gap to tolerance).
+    """
+    cmp = compare_levels(Potential.constant(prob.potential.V_inf), prob.potential, prob,
+                         starts, cfg)
+    return GapVerdict(c=cmp.c_b, c_infinity=cmp.c_a, gap=cmp.margin,
+                      attained_signature=bool(cmp.margin > LEVEL_TOL), tol=LEVEL_TOL)
 
 
 @dataclass(frozen=True)
@@ -311,7 +214,7 @@ def continuity_sweep(
     epsilons: Sequence[float],
     prob: Problem,
     starts: Optional[Sequence[Field]] = None,
-    cfg=None,
+    cfg: Optional[SolverConfig] = None,
 ) -> ContinuityTable:
     """Levels of the shifted potentials V + eps.
 

@@ -41,7 +41,7 @@ One step costs three real FFTs:
      without a transform: its X-norm is the quadratic
      ``Q(u - t p) = Q(u) - 2t B(u, p) + t^2 Q(p)``, with B the X inner
      product (B and Q(p) share p's weighted half spectrum and ``dx V p``,
-     formed once per line search), and ``nehari.project_ray`` needs only
+     formed once per line search), and ``energy.project_ray`` needs only
      that and the trial's values.  On the manifold the ray reprojection does not change the
      first-order decrease rate (the fibering derivative vanishes at the
      projected point), so the plain gradient pairing is the right slope.
@@ -70,14 +70,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .energy import EnergyBreakdown, evaluate_I, weak_residual_norm
+from .energy import EnergyBreakdown, evaluate_I, project_ray, weak_residual_norm
 from .exceptions import AdmissibilityError, ConfigurationError, ProjectionError
 from .grid import Field, Grid
-from .nehari import LEVEL_TOL, level_c, level_c_infinity, project_ray
 from .problem import CheckResult, Problem
 from .rearrange import rearrange_values
 from .spaces import l2_norm
@@ -90,7 +89,6 @@ __all__ = [
     "random_starts",
     "ground_state",
     "check_nonnegativity",
-    "compare_c_to_c_infinity",
     "symmetry_diagnostic",
 ]
 
@@ -145,8 +143,8 @@ class SolverConfig:
 class GroundStateReport:
     """What a descent produced; the level and the diagnostics derive from it.
 
-    The two diagnostics are computed from ``u`` on first read, so a solve
-    whose caller reads neither pays for neither.
+    The rearrangement ``u_star`` and the two diagnostics are computed from
+    ``u`` on first read, so a solve whose caller reads none pays for none.
     """
 
     u: Field
@@ -170,8 +168,16 @@ class GroundStateReport:
         return nonneg_violation(self.u)
 
     @functools.cached_property
+    def u_star(self) -> np.ndarray:
+        """Values of the symmetric decreasing rearrangement of ``u``."""
+        return rearrange_values(self.u.values)
+
+    @functools.cached_property
     def symmetry_defect(self) -> float:
-        return _symmetry_defect(self.u, rearrange_values(self.u.values))
+        """Relative L2 distance of ``u`` from ``u_star``."""
+        u = self.u
+        denom = l2_norm(u)
+        return 0.0 if denom == 0.0 else float(l2_norm(Field(u.grid, u.values - self.u_star)) / denom)
 
 
 def default_start(grid: Grid) -> Field:
@@ -211,12 +217,6 @@ def nonneg_violation(u: Field) -> float:
     if denom == 0.0:
         return 0.0
     return float(np.sqrt(u.grid.dx * np.sum(neg**2))) / denom
-
-
-def _symmetry_defect(u: Field, star: np.ndarray) -> float:
-    """Relative L2 distance of u from the values ``star`` of its rearrangement."""
-    denom = l2_norm(u)
-    return 0.0 if denom == 0.0 else float(l2_norm(Field(u.grid, u.values - star)) / denom)
 
 
 def _x_product(prob: Problem, uh: np.ndarray, vh: np.ndarray, u: np.ndarray,
@@ -376,45 +376,6 @@ def check_nonnegativity(report_or_field, tol: float = 1e-6) -> CheckResult:
 
 
 @dataclass(frozen=True)
-class GapVerdict:
-    """c against the level of the limiting problem; a strict gap is the
-    computable signature that the level is attained."""
-
-    c: float
-    c_infinity: float
-    gap: float
-    attained_signature: bool
-    tol: float
-
-
-def compare_c_to_c_infinity(
-    prob: Problem,
-    cfg: Optional[SolverConfig] = None,
-    starts: Optional[Sequence[Field]] = None,
-) -> GapVerdict:
-    """Solve both problems and compare levels.
-
-    Precondition: V never exceeds V_inf on the grid (the degenerate case
-    V identically V_inf is allowed and yields a zero gap to tolerance).
-    """
-    over = float(np.max(prob.V_values - prob.potential.V_inf))
-    if over > 1e-12 * max(1.0, abs(prob.potential.V_inf)):
-        raise AdmissibilityError(
-            f"V exceeds V_inf by {over:.3e} somewhere; the gap comparison needs V <= V_inf"
-        )
-    est = level_c(prob, starts, cfg=cfg)
-    est_inf = level_c_infinity(prob, starts, cfg=cfg)
-    gap = est_inf.c - est.c
-    return GapVerdict(
-        c=est.c,
-        c_infinity=est_inf.c,
-        gap=gap,
-        attained_signature=bool(gap > LEVEL_TOL),
-        tol=LEVEL_TOL,
-    )
-
-
-@dataclass(frozen=True)
 class SymmetryReport:
     defect: float
     energy: float
@@ -432,12 +393,11 @@ def symmetry_diagnostic(report: GroundStateReport, prob: Problem) -> SymmetryRep
     if not prob.potential.radial_increasing:
         raise AdmissibilityError("symmetry diagnostic needs a radial increasing potential")
     u = report.u
-    star = rearrange_values(u.values)
     E_u = evaluate_I(u, prob).total
-    E_star = evaluate_I(Field(u.grid, star), prob).total
+    E_star = evaluate_I(Field(u.grid, report.u_star), prob).total
     ok = E_star <= E_u + 1e-10 * (1.0 + abs(E_u))
     return SymmetryReport(
-        defect=_symmetry_defect(u, star),
+        defect=report.symmetry_defect,
         energy=E_u,
         energy_rearranged=E_star,
         rearrangement_nonincreasing=bool(ok),

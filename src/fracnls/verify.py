@@ -15,16 +15,10 @@ from .energy import evaluate_I
 from .grid import (Field, _apply_symbol, composed_operator, forward_transform, integrate,
                    inverse_transform, left_lw_derivative, make_grid, refine_field,
                    right_lw_derivative)
-from .nehari import nehari_project
+from .nehari import compare_c_to_c_infinity, continuity_sweep, nehari_project
 from .problem import CheckResult, Potential, make_problem, power_nonlinearity
 from .rearrange import layer_cake_check, polya_szego_check, rearrange, rearrange_values
-from .solver import (
-    SolverConfig,
-    check_nonnegativity,
-    compare_c_to_c_infinity,
-    ground_state,
-    symmetry_diagnostic,
-)
+from .solver import SolverConfig, check_nonnegativity, ground_state, symmetry_diagnostic
 from .spaces import (embedding_ratio, inner_product_X, l2_norm, norm_alpha, seminorm_alpha,
                      sup_norm)
 
@@ -312,8 +306,6 @@ def suite_theorems(seed: int = 0) -> list:
                        converged and max(gaps) <= 1e-9,
                        f"largest relative gap {max(gaps):.3e} over p = 2, 3, 4, 5, "
                        f"iterations {iters}"))
-
-    from .nehari import continuity_sweep
 
     table = continuity_sweep(prob.potential, [0.4, 0.2, 0.1, 0.05], prob, cfg=cfg)
     cs = sorted((r.eps, r.c) for r in table.rows if r.eps > 0.0)

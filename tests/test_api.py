@@ -3,7 +3,9 @@
 Adding or removing an export must update this list on purpose.
 """
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -93,3 +95,37 @@ def test_report_stores_only_what_the_descent_produced():
     # c, converged and the two diagnostics derive from these five fields
     fields = [f.name for f in dataclasses.fields(fracnls.GroundStateReport)]
     assert fields == ["u", "residual", "iterations", "stop_reason", "energy"]
+
+
+def test_package_imports_form_a_dag():
+    # every relative import, function-local ones included, is an edge; the
+    # layers import one way only, so there is nothing to defer or hide
+    src = Path(fracnls.__file__).parent
+    modules = {path.stem for path in src.glob("*.py")}
+    graph, hidden = {}, []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        if "TYPE_CHECKING" in text:
+            hidden.append(path.name)
+        deps = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module:
+                    deps.add(node.module.split(".")[0])
+                else:  # from . import name: a module, or a name of the package
+                    deps.update(a.name if a.name in modules else "__init__" for a in node.names)
+        graph[path.stem] = deps
+
+    done = set()
+
+    def visit(mod, path):
+        if mod in path:
+            pytest.fail("import cycle: " + " -> ".join(path[path.index(mod):] + [mod]))
+        if mod not in done:
+            for dep in sorted(graph[mod]):
+                visit(dep, path + [mod])
+            done.add(mod)
+
+    for mod in sorted(graph):
+        visit(mod, [])
+    assert not hidden, f"imports hidden behind TYPE_CHECKING in {hidden}"

@@ -155,6 +155,18 @@ class TestGroundStateCommand:
         assert far["c"] == pytest.approx(unit["c"], rel=1e-12)
         assert far["iterations"] == unit["iterations"]
 
+    def test_state_is_rearranged_once(self, tmp_path, capsys, monkeypatch):
+        # the u_star column and symmetry_defect share the report's rearrangement
+        real = sys.modules["fracnls.rearrange"].rearrange_values
+        calls = []
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("fracnls") and getattr(mod, "rearrange_values", None) is real:
+                monkeypatch.setattr(mod, "rearrange_values",
+                                    lambda v: calls.append(v.size) or real(v))
+        code, _, err = main_in_process(capsys, "ground-state", dict(CANON, N=512), tmp_path)
+        assert code == 0, err
+        assert calls == [512]
+
     def test_missing_config_exits_one(self, tmp_path):
         r = run_cli("ground-state", "--out", str(tmp_path))
         assert r.returncode == 1
@@ -502,6 +514,19 @@ class TestConfigErrors:
         assert code == 1
         assert f"'{section + '.' if section else ''}{key}'" in err
         assert "boolean" in err
+
+    @pytest.mark.parametrize("command", ["ground-state", "sweep"])
+    @pytest.mark.parametrize("cfg,named", [
+        (dict(WELL, grad_tol=1e-11, max_iters=3), "'grad_tol'"),
+        ([1, 2], "JSON object"),
+    ], ids=["solver-keys-at-top-level", "list"])
+    def test_top_level_checked(self, tmp_path, capsys, command, cfg, named):
+        # misplaced, the solver keys were ignored and the default solve exited 0
+        code, _, err = main_in_process(capsys, command, cfg, tmp_path)
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
+        assert not (tmp_path / "out").exists()
 
     def test_internal_value_error_propagates(self, tmp_path, capsys, monkeypatch):
         def broken(*args):

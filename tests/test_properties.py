@@ -21,7 +21,7 @@ from fracnls import (
     make_problem,
     power_nonlinearity,
 )
-from fracnls.nehari import project_ray
+from fracnls.energy import project_ray
 
 from conftest import positive_field
 
