@@ -24,9 +24,7 @@ from .grid import (
     Grid,
     composed_operator,
     embed_field,
-    forward_transform,
     integrate,
-    inverse_transform,
     left_lw_derivative,
     make_grid,
     refine_field,
@@ -96,9 +94,7 @@ __all__ = [
     "Grid",
     "composed_operator",
     "embed_field",
-    "forward_transform",
     "integrate",
-    "inverse_transform",
     "left_lw_derivative",
     "make_grid",
     "refine_field",

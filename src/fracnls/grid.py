@@ -4,28 +4,20 @@ The real line is truncated to the periodic window ``[-L, L)`` sampled at
 ``x_j = -L + j*dx`` with ``dx = 2L/N``.  The matching frequency lattice is
 ``w_k = pi*k/L`` for ``k in {-N/2, .., N/2-1}`` stored in standard DFT order.
 
-Transform convention.  ``forward_transform`` approximates the continuous
-transform ``u_hat(w) = integral exp(-i x w) u(x) dx``, so
-
-    u_hat_k = dx * exp(-i w_k x_0) * fft(u)_k = dx * (-1)^k * fft(u)_k
-
-because ``exp(-i w_k x_0) = exp(i pi k) = (-1)^k`` at ``x_0 = -L``.  With this
-scaling a pure mode ``cos(pi x / L)`` transforms to exactly ``L`` on the two
-modes ``k = +-1``, matching the continuous integral.
-
 Fractional operators.  The left and right one-sided fractional derivatives
 act in frequency space as multiplication by ``(i w)^alpha`` and
 ``(-i w)^alpha`` (principal branch).  Their composition has the real even
 symbol ``|w|^(2 alpha)``, which is the only symbol entering energies; the
-one-sided operators are kept as diagnostics.  Phase and ``dx`` scaling cancel
-when a multiplier is applied, so multipliers act directly on raw FFT data.
+one-sided operators are kept as diagnostics.  A multiplier acts directly on
+raw FFT data, ``ifft(symbol * fft(u))``: no ``dx`` scaling or boundary phase
+is needed, since both would cancel between the forward and inverse steps.
 
-Two spectral paths.  Complex ``fft``/``ifft`` serve only the scaled
-transform pair and the one-sided derivatives' complex symbols.  Every
-real-to-real operation (``composed_operator``, ``refine_field``, the seminorm
-and X product of ``spaces``, the energy and gradient, the solver loop) works
-on the ``rfft`` half spectrum ``k = 0 .. N/2``, with the symbol and Parseval
-weights built once, by ``_half_symbol`` and ``_parseval_weights``.
+Two spectral paths.  Complex ``fft``/``ifft`` serve only the one-sided
+derivatives' complex symbols.  Every real-to-real operation
+(``composed_operator``, ``refine_field``, the seminorm and X product of
+``spaces``, the energy and gradient, the solver loop) works on the ``rfft``
+half spectrum ``k = 0 .. N/2``, with the symbol and Parseval weights built
+once, by ``_half_symbol`` and ``_parseval_weights``.
 """
 
 from __future__ import annotations
@@ -41,8 +33,6 @@ __all__ = [
     "Grid",
     "Field",
     "make_grid",
-    "forward_transform",
-    "inverse_transform",
     "left_lw_derivative",
     "right_lw_derivative",
     "composed_operator",
@@ -67,11 +57,8 @@ class Grid:
     N : number of points, even, at least 8.
     dx : spacing ``2L/N``; ``dx*N == 2L`` exactly.
     x : sample points ``-L + j*dx``.
-    w : angular frequencies ``pi*k/L`` in DFT order; the mode ``k = -N/2``
-        is the unpaired Nyquist mode.
-    k : integer mode numbers in the same order.
-    phase : ``(-1)^k``, the boundary phase ``exp(-i w_k x_0)`` used by the
-        scaled transform pair.
+    w : angular frequencies ``pi*k/L`` in DFT order; the mode ``k = -N/2``,
+        at index ``N // 2``, is the unpaired Nyquist mode.
     """
 
     L: float
@@ -79,16 +66,10 @@ class Grid:
     dx: float
     x: np.ndarray
     w: np.ndarray
-    k: np.ndarray
-    phase: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("x", "w", "k", "phase"):
+        for name in ("x", "w"):
             object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name))))
-
-    @property
-    def nyquist_index(self) -> int:
-        return self.N // 2
 
 
 def make_grid(L: float, N: int) -> Grid:
@@ -104,9 +85,7 @@ def make_grid(L: float, N: int) -> Grid:
     dx = 2.0 * L / N
     x = -L + dx * np.arange(N)
     k = np.fft.fftfreq(N, d=1.0 / N).astype(int)  # 0, 1, .., N/2-1, -N/2, .., -1
-    w = (np.pi / L) * k
-    phase = np.where(k % 2 == 0, 1.0, -1.0)
-    return Grid(L=L, N=N, dx=dx, x=x, w=w, k=k, phase=phase)
+    return Grid(L=L, N=N, dx=dx, x=x, w=(np.pi / L) * k)
 
 
 @dataclass(frozen=True)
@@ -147,7 +126,7 @@ def _half_symbol(grid: Grid, alpha: float) -> np.ndarray:
 
 def _parseval_weights(grid: Grid) -> np.ndarray:
     """``(dx/N) m_k`` on the rfft modes, ``m_k = 1`` at ``k = 0`` and ``N/2``
-    and 2 for the conjugate pairs: ``dx u.v = sum(weights conj(u_hat) v_hat)``."""
+    and 2 for the conjugate pairs: ``dx u.v = Re sum(weights conj(u_hat) v_hat)``."""
     m = np.full(grid.N // 2 + 1, 2.0)
     m[[0, -1]] = 1.0
     return (grid.dx / grid.N) * m
@@ -160,24 +139,9 @@ class ComplexPair(NamedTuple):
     imag: Field
 
 
-def forward_transform(u: Field) -> np.ndarray:
-    """Scaled DFT approximating ``integral exp(-i x w) u(x) dx`` on the w lattice."""
-    g = u.grid
-    return g.dx * g.phase * np.fft.fft(u.values)
-
-
-def inverse_transform(grid: Grid, spectrum: np.ndarray) -> Field:
-    """Inverse of :func:`forward_transform`; returns the real part as a Field."""
-    spectrum = np.asarray(spectrum, dtype=complex)
-    if spectrum.shape != (grid.N,):
-        raise AdmissibilityError("spectrum length does not match grid")
-    vals = np.fft.ifft(grid.phase * spectrum) / grid.dx
-    return Field(grid, np.real(vals))
-
-
 def _apply_symbol(u: Field, symbol: np.ndarray) -> np.ndarray:
-    # phase and dx cancel between the scaled transform pair, so the
-    # multiplier acts on raw FFT data
+    # complex: a sampled field's spectrum need not match the conjugate
+    # symmetry of a one-sided symbol, so callers keep the imaginary part
     return np.fft.ifft(symbol * np.fft.fft(u.values))
 
 
@@ -187,7 +151,7 @@ def _one_sided_symbol(grid: Grid, alpha: float, sign: float) -> np.ndarray:
     # odd part of the symbol has no well-defined phase there
     mag = np.abs(grid.w) ** alpha
     sym = mag * np.exp(1j * alpha * (np.pi / 2.0) * np.sign(sign * grid.w))
-    sym[grid.nyquist_index] = 0.0
+    sym[grid.N // 2] = 0.0
     return sym
 
 

@@ -386,15 +386,16 @@ class SymmetryReport:
 def symmetry_diagnostic(report: GroundStateReport, prob: Problem) -> SymmetryReport:
     """Distance of a computed state from its symmetric decreasing shape.
 
-    Requires the radial_increasing flag: without it the minimizer has no
-    reason to be symmetric.  Also records that rearrangement did not raise
-    the energy, the mechanism forcing symmetry of the minimizer.
+    ``prob`` must be the problem the report was solved on: the state's
+    energy is read from the report, not recomputed.  Requires the
+    radial_increasing flag: without it the minimizer has no reason to be
+    symmetric.  Also records that rearrangement did not raise the energy,
+    the mechanism forcing symmetry of the minimizer.
     """
     if not prob.potential.radial_increasing:
         raise AdmissibilityError("symmetry diagnostic needs a radial increasing potential")
-    u = report.u
-    E_u = evaluate_I(u, prob).total
-    E_star = evaluate_I(Field(u.grid, report.u_star), prob).total
+    E_u = report.c
+    E_star = evaluate_I(Field(report.u.grid, report.u_star), prob).total
     ok = E_star <= E_u + 1e-10 * (1.0 + abs(E_u))
     return SymmetryReport(
         defect=report.symmetry_defect,

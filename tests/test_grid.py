@@ -1,8 +1,9 @@
 """Grid construction and the spectral operator layer.
 
-The transform tests run two routes: the FFT implementation against a direct
-O(N^2) summation of the same discrete integral, so a convention slip in
-either the phase or the scaling cannot cancel out.
+The composed operator is checked against an independent route: a direct
+O(N^2) summation of the discrete Fourier integral, the symbol applied
+there, and a direct sum back.  A slip in the rfft half spectrum, its
+Nyquist bin or the symbol cannot cancel out.
 """
 
 import numpy as np
@@ -14,14 +15,13 @@ from fracnls import (
     Field,
     composed_operator,
     embed_field,
-    forward_transform,
     integrate,
-    inverse_transform,
     left_lw_derivative,
     make_grid,
     refine_field,
     right_lw_derivative,
 )
+from fracnls.grid import _parseval_weights
 
 from conftest import random_field
 
@@ -31,6 +31,11 @@ def dft_by_summation(grid, values):
     return np.array(
         [grid.dx * np.sum(values * np.exp(-1j * w * grid.x)) for w in grid.w]
     )
+
+
+def with_nyquist(grid, rng):
+    # a mean and an alternating part, so the bins k = 0 and N/2 are occupied
+    return random_field(grid, rng).values + 0.3 * (-1.0) ** np.arange(grid.N)
 
 
 class TestMakeGrid:
@@ -82,42 +87,6 @@ class TestFractionalOrder:
         for a in (1.0, 0.51):
             out = composed_operator(u, a)
             assert np.allclose(out.values, (np.pi / g.L) ** (2 * a) * u.values, atol=1e-12)
-
-
-class TestTransforms:
-    def test_matches_direct_summation(self):
-        g = make_grid(8.0, 64)
-        rng = np.random.default_rng(7)
-        u = random_field(g, rng)
-        fast = forward_transform(u)
-        slow = dft_by_summation(g, u.values)
-        assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
-
-    def test_pure_cosine_lands_on_L(self):
-        g = make_grid(20.0, 1024)
-        u = Field(g, np.cos(np.pi * g.x / g.L))
-        spec = forward_transform(u)
-        assert spec[1] == pytest.approx(g.L, abs=1e-12 * g.L)
-        assert spec[-1] == pytest.approx(g.L, abs=1e-12 * g.L)
-        others = np.delete(np.abs(spec), [1, g.N - 1])
-        assert np.max(others) <= 1e-12 * g.L
-
-    def test_round_trip(self):
-        g = make_grid(20.0, 256)
-        rng = np.random.default_rng(3)
-        u = random_field(g, rng)
-        back = inverse_transform(g, forward_transform(u))
-        err = np.max(np.abs(back.values - u.values)) / np.max(np.abs(u.values))
-        assert err <= 1e-12
-
-    def test_parseval(self):
-        g = make_grid(12.0, 512)
-        rng = np.random.default_rng(11)
-        u = random_field(g, rng)
-        phys = g.dx * np.sum(u.values**2)
-        spec = forward_transform(u)
-        freq = np.sum(np.abs(spec) ** 2) / (2.0 * g.L)
-        assert freq == pytest.approx(phys, rel=1e-12)
 
 
 class TestOneSidedDerivatives:
@@ -196,12 +165,34 @@ class TestComposedOperator:
         scale = np.max(np.abs(upp))
         assert np.max(np.abs(out.values + upp)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("a", [0.6, 0.75, 1.0])
+    def test_matches_direct_summation(self, a):
+        g = make_grid(8.0, 64)
+        u = with_nyquist(g, np.random.default_rng(7))
+        spec = np.abs(g.w) ** (2.0 * a) * dft_by_summation(g, u)
+        # u(x_j) = (1/2L) sum_k u_hat(w_k) exp(i w_k x_j)
+        slow = np.array([np.sum(spec * np.exp(1j * g.w * x)) for x in g.x]) / (2.0 * g.L)
+        fast = composed_operator(Field(g, u), a).values
+        assert np.max(np.abs(fast - slow.real)) <= 1e-12 * np.max(np.abs(slow.real))
+
     def test_output_is_real_type(self):
         g = make_grid(20.0, 128)
         rng = np.random.default_rng(2)
         u = random_field(g, rng)
         out = composed_operator(u, 0.75)
         assert out.values.dtype == np.float64
+
+
+class TestParsevalWeights:
+    def test_inner_product_in_frequency(self):
+        # dx u.v = Re sum(weights conj(u_hat) v_hat) on the rfft half
+        # spectrum, with both end bins occupied
+        g = make_grid(12.0, 512)
+        rng = np.random.default_rng(11)
+        u, v = with_nyquist(g, rng), with_nyquist(g, rng)
+        freq = np.sum(_parseval_weights(g) * np.conj(np.fft.rfft(u)) * np.fft.rfft(v))
+        phys = g.dx * np.sum(u * v)
+        assert freq.real == pytest.approx(phys, rel=1e-12)
 
 
 class TestQuadrature:

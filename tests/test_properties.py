@@ -1,10 +1,12 @@
-"""Property tests of the ray projection and the power nonlinearity.
+"""Property tests of the ray projection, the power nonlinearity and the
+rearrangement.
 
 Each property holds for every admissible input, so the inputs are drawn by
 ``hypothesis``: exponents from (1.5, 6) and the integers 2 to 5, seeds of
-band-limited fields with a positive part, and ray scalings over six decades.
-The bracketed root finder of the custom path never shares code with the
-power path's closed form, so agreement between them is an oracle for both.
+band-limited fields with a positive part, ray scalings over six decades, and
+float arrays of any length with ties and negative entries.  The bracketed
+root finder of the custom path never shares code with the power path's
+closed form, so agreement between them is an oracle for both.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from fracnls import (
     make_grid,
     make_problem,
     power_nonlinearity,
+    rearrange_values,
 )
 from fracnls.energy import project_ray
 
@@ -112,3 +115,16 @@ def test_unrepresentable_closed_form_raises(scale):
     with np.errstate(over="ignore"), pytest.raises(ProjectionError,
                                                     match="u_\\+\\^\\(p\\+1\\)"):
         project_ray(scale * vals, scale * scale * Q, prob)
+
+
+@settings(max_examples=100, deadline=None)
+@given(v=arrays(np.float64, st.integers(1, 65),
+                elements=st.one_of(st.integers(-3, 3).map(float),
+                                   st.floats(-1e300, 1e300))))
+def test_rearrangement_is_equimeasurable_and_decreasing(v):
+    star = rearrange_values(v)
+    assert np.array_equal(np.sort(star), np.sort(np.abs(v)))
+    # nearest the centre cell N/2 first, the left cell first at equal distance
+    n = v.shape[0]
+    order = sorted(range(n), key=lambda i: (abs(i - n // 2), i))
+    assert np.all(np.diff(star[order]) <= 0.0)

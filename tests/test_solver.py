@@ -381,6 +381,18 @@ class TestSymmetryDiagnostic:
         assert sym.rearrangement_nonincreasing
         assert sym.energy_rearranged <= sym.energy + 1e-10 * (1.0 + abs(sym.energy))
 
+    def test_state_energy_read_from_report(self, prob_well, monkeypatch):
+        # the report already holds the energy of its own state; only the
+        # rearranged state needs an evaluation
+        rep = ground_state(prob_well)
+        calls = []
+        real = solver.evaluate_I
+        monkeypatch.setattr(solver, "evaluate_I", lambda u, p: calls.append(1) or real(u, p))
+        sym = symmetry_diagnostic(rep, prob_well)
+        assert sym.energy == rep.c
+        assert sym.energy == real(rep.u, prob_well).total
+        assert len(calls) == 1
+
     def test_requires_radial_flag(self, grid512, cubic):
         V = Potential.from_expr("2.0 - 1.0/(1.0 + (t-3.0)**2)", V0=1.0, V_inf=2.0,
                                 below_Vinf=True)
