@@ -58,6 +58,8 @@ def _fmt(v) -> str:
 
 
 def _jsonable(v):
+    if isinstance(v, dict):
+        return {k: _jsonable(x) for k, x in v.items()}
     if isinstance(v, float) and math.isnan(v):
         return None
     if isinstance(v, (np.floating, np.integer)):
@@ -161,71 +163,63 @@ def _c_infinity(prob: Problem, cfg: SolverConfig, report: GroundStateReport) -> 
 def _run_point(prob: Problem, scfg: SolverConfig, refine: bool) -> tuple:
     """Solve for c and c_inf; with refine, re-solve at 2N (same window) and at
     the doubled window with matched spacing, recording both relative drifts
-    of c.  Also returns the names of the auxiliary solves that did not
+    of c.  Returns the report, the record of every per-point value the
+    outputs write, and the names of the auxiliary solves that did not
     converge."""
     report = ground_state(prob, scfg)
     c_inf, inf_converged = _c_infinity(prob, scfg, report)
     stalled = [] if inf_converged else ["c_inf"]
-    drift = math.nan
-    trunc = math.nan
-    if refine and report.c != 0.0:
-        fine_grid = make_grid(prob.grid.L, 2 * prob.grid.N)
-        fine = ground_state(prob.on_grid(fine_grid),
-                            replace(scfg, start=refine_field(report.u, 2)))
-        drift = abs(fine.c - report.c) / abs(report.c)
-        if not fine.converged:
-            stalled.append("2N refinement")
-        try:
-            wide_grid = make_grid(2.0 * prob.grid.L, 2 * prob.grid.N)
-            wide = ground_state(prob.on_grid(wide_grid),
-                                replace(scfg, start=embed_field(report.u, wide_grid)))
-            trunc = abs(wide.c - report.c) / abs(report.c)
-            if not wide.converged:
-                stalled.append("doubled-window")
-        except ConfigurationError:
-            # table potentials carry no values beyond the original window
-            trunc = math.nan
-    return report, c_inf, drift, trunc, stalled
+    record = dict(c=report.c, c_inf=c_inf, residual=report.residual,
+                  iterations=report.iterations, converged=report.converged,
+                  nonneg_violation=report.nonneg_violation,
+                  symmetry_defect=report.symmetry_defect,
+                  energy={k: getattr(report.energy, k)
+                          for k in ("kinetic", "potential_term", "nonlinear", "total")},
+                  refinement_drift=math.nan, truncation_err=math.nan)
+    # table potentials carry no values off their own grid: both drifts stay NaN
+    if refine and report.c != 0.0 and prob.potential.table is None:
+        wide_grid = make_grid(2.0 * prob.grid.L, 2 * prob.grid.N)
+        for key, name, start in (
+            ("refinement_drift", "2N refinement", refine_field(report.u, 2)),
+            ("truncation_err", "doubled-window", embed_field(report.u, wide_grid)),
+        ):
+            aux = ground_state(prob.on_grid(start.grid), replace(scfg, start=start))
+            record[key] = abs(aux.c - report.c) / abs(report.c)
+            if not aux.converged:
+                stalled.append(name)
+    record["status"] = "ok" if report.converged and not stalled else "nonconverged"
+    return report, record, stalled
 
 
-def _report_json(
-    prob: Problem, report: GroundStateReport, c_inf: float, drift: float, trunc: float
-) -> dict:
-    return {
-        "alpha": prob.alpha,
-        "L": prob.grid.L,
-        "N": prob.grid.N,
-        "p": prob.nonlinearity.p,
-        "p0": prob.nonlinearity.p0,
-        "c": _jsonable(report.c),
-        "c_infinity": _jsonable(c_inf),
-        "residual": _jsonable(report.residual),
-        "iterations": report.iterations,
-        "converged": report.converged,
-        "nonneg_violation": _jsonable(report.nonneg_violation),
-        "symmetry_defect": _jsonable(report.symmetry_defect),
-        "energy": {k: _jsonable(getattr(report.energy, k))
-                   for k in ("kinetic", "potential_term", "nonlinear", "total")},
-        "refinement_drift": _jsonable(drift),
-        "truncation_err": _jsonable(trunc),
-    }
+# the ground-state JSON's per-point keys in order; c_inf is written as c_infinity
+_JSON_KEYS = ("c", "c_inf", "residual", "iterations", "converged", "nonneg_violation",
+              "symmetry_defect", "energy", "refinement_drift", "truncation_err")
+
+
+def _output(args, config_digest: str) -> tuple:
+    """The output directory, created, and the run's manifest, started now."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir, RunManifest(config_digest=config_digest, seed=args.seed or 0,
+                                tool_version=__version__, started=_now())
 
 
 def cmd_ground_state(args) -> int:
     cfg, digest = _load_config(args.config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(config_digest=digest, seed=args.seed or 0,
-                           tool_version=__version__, started=_now())
+    out_dir, manifest = _output(args, digest)
 
     prob = problem_from_config(cfg)
-    report, c_inf, drift, trunc, stalled = _run_point(prob, _solver_config(cfg), args.refine)
+    report, record, stalled = _run_point(prob, _solver_config(cfg), args.refine)
 
     tag = str(cfg.get("tag", "ground_state"))
     base = f"{tag}_{prob.alpha:g}_{prob.grid.N}"
     json_path = out_dir / f"{base}.json"
     csv_path = out_dir / f"{base}.csv"
-    _write_json(json_path, _report_json(prob, report, c_inf, drift, trunc))
+    payload = {"alpha": prob.alpha, "L": prob.grid.L, "N": prob.grid.N,
+               "p": prob.nonlinearity.p, "p0": prob.nonlinearity.p0}
+    for k in _JSON_KEYS:
+        payload["c_infinity" if k == "c_inf" else k] = _jsonable(record[k])
+    _write_json(json_path, payload)
     _write_csv(
         csv_path,
         ["x", "u", "u_star"],
@@ -239,7 +233,7 @@ def cmd_ground_state(args) -> int:
           f"iterations = {report.iterations}")
     for name in stalled:
         print(f"did not converge: the {name} solve")
-    return 0 if report.converged and not stalled else 2
+    return 0 if record["status"] == "ok" else 2
 
 
 # -------------------------------------------------------------------- sweep
@@ -272,15 +266,12 @@ def _sweep_point(task) -> dict:
     if eps != 0.0:
         prob = prob.with_potential(prob.potential.shifted(eps))
     try:
-        report, c_inf, drift, trunc, stalled = _run_point(prob, _solver_config(cfg), refine)
+        _, record, _ = _run_point(prob, _solver_config(cfg), refine)
     except (AdmissibilityError, ProjectionError) as e:
-        nan = math.nan
-        values = (nan, nan, nan, nan, 0, False, nan, nan, f"error:{type(e).__name__}")
-    else:
-        status = "ok" if report.converged and not stalled else "nonconverged"
-        values = (report.c, c_inf, report.residual, report.symmetry_defect,
-                  report.iterations, report.converged, drift, trunc, status)
-    return dict(zip(_SWEEP_COLUMNS, (parameter, value, *values)))
+        record = dict.fromkeys(_SWEEP_COLUMNS, math.nan)
+        record.update(iterations=0, converged=False, status=f"error:{type(e).__name__}")
+    record.update(parameter=parameter, value=value)
+    return {k: record[k] for k in _SWEEP_COLUMNS}
 
 
 def cmd_sweep(args) -> int:
@@ -297,10 +288,7 @@ def cmd_sweep(args) -> int:
             f"unknown sweep parameter {parameter!r}; choose from {_SWEEP_PARAMETERS}"
         )
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(config_digest=digest, seed=args.seed or 0,
-                           tool_version=__version__, started=_now())
+    out_dir, manifest = _output(args, digest)
 
     base_cfg = {k: v for k, v in cfg.items() if k != "sweep"}
     tasks = [(base_cfg, parameter, v, args.refine) for v in values]
@@ -369,10 +357,7 @@ def cmd_rearrange(args) -> int:
     if np.max(np.abs(grid.x - x)) > 1e-9 * L:
         raise ConfigurationError("input samples must cover the window [-L, L) starting at -L")
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(config_digest=_digest(in_path.read_bytes()), seed=args.seed or 0,
-                           tool_version=__version__, started=_now())
+    out_dir, manifest = _output(args, _digest(in_path.read_bytes()))
 
     u = Field(grid, u_vals)
     rep = rearrange(u)
@@ -381,17 +366,12 @@ def cmd_rearrange(args) -> int:
     json_path = out_dir / f"{stem}_rearranged.json"
     _write_csv(csv_path, ["x", "u", "u_star"],
                list(zip(grid.x, u.values, rep.u_star.values)))
-    payload = {"L": L, "N": N, "lp_drift": {str(q): _jsonable(v) for q, v in rep.lp_drift.items()}}
+    payload = {"L": L, "N": N, "lp_drift": {str(q): v for q, v in rep.lp_drift.items()}}
     if args.alpha is not None:
         ps = polya_szego_check(u, args.alpha)
-        payload["polya_szego"] = {
-            "alpha": args.alpha,
-            "lhs": _jsonable(ps.lhs),
-            "rhs": _jsonable(ps.rhs),
-            "margin": _jsonable(ps.margin),
-            "satisfied": ps.satisfied,
-        }
-    _write_json(json_path, payload)
+        payload["polya_szego"] = {"alpha": args.alpha, "lhs": ps.lhs, "rhs": ps.rhs,
+                                  "margin": ps.margin, "satisfied": ps.satisfied}
+    _write_json(json_path, _jsonable(payload))
     manifest.outputs = [csv_path.name, json_path.name]
     manifest.write(out_dir)
     print(f"rearranged {in_path.name}: N = {N}, L = {L:g}")

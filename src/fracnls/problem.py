@@ -302,11 +302,12 @@ class Potential:
     pickling, which the parallel sweep path relies on.
 
     An expression may use only int and float literals, ``t``, the names in
-    ``_EXPR_NAMES``, unary, binary and single (unchained) comparison
-    operators, and calls of those functions with positional arguments;
-    anything else (attributes, subscripts, strings, lambdas, keywords,
-    ``a < t < b``) is rejected at construction, so a config file cannot run
-    code.
+    ``_EXPR_NAMES``, unary ``+ -``, binary ``+ - * / // % **`` and single
+    (unchained) comparison operators, and calls of those functions with
+    positional arguments; anything else (attributes, subscripts, strings,
+    lambdas, keywords, bitwise operators, ``a < t < b``) is rejected at
+    construction, so a config file cannot run code.  Literals are evaluated
+    as floats, so no exact integer power runs: ``10**400`` overflows at once.
     """
 
     _EXPR_NAMES = {
@@ -328,8 +329,9 @@ class Potential:
     }
     # syntax nodes an expression may contain besides constants, names, calls
     # and comparisons
-    _EXPR_NODES = (ast.Expression, ast.Load, ast.UnaryOp, ast.unaryop, ast.BinOp,
-                   ast.operator, ast.cmpop)
+    _EXPR_NODES = (ast.Expression, ast.Load, ast.UnaryOp, ast.UAdd, ast.USub, ast.BinOp,
+                   ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
+                   ast.cmpop)
 
     def __init__(
         self,
@@ -342,8 +344,8 @@ class Potential:
     ) -> None:
         if (expr is None) == (table is None):
             raise ConfigurationError("exactly one of expr, table must be given")
-        if expr is not None:
-            self._check_expr(expr)
+        # the checked expression as evaluated: a string, so the potential pickles
+        self._code = None if expr is None else self._check_expr(expr)
         self.V0 = float(V0)
         self.V_inf = float(V_inf)
         self.expr = expr
@@ -354,7 +356,9 @@ class Potential:
             raise HypothesisError(f"V1: the floor V0 must be positive, got {self.V0}")
 
     @classmethod
-    def _check_expr(cls, expr: str) -> None:
+    def _check_expr(cls, expr: str) -> str:
+        """``expr`` checked against the grammar and unparsed with every literal
+        a float."""
         try:
             tree = ast.parse(expr, mode="eval")
         except SyntaxError as e:
@@ -372,8 +376,16 @@ class Potential:
             else:
                 ok = isinstance(node, cls._EXPR_NODES)
             if not ok:
-                raise ConfigurationError(
-                    f"potential expression {expr!r} may not contain {ast.unparse(node)!r}")
+                # an operator node unparses to '', so it is named by its class
+                part = ast.unparse(node) or type(node).__name__
+                raise ConfigurationError(f"potential expression {expr!r} may not contain {part!r}")
+            if isinstance(node, ast.Constant):
+                try:
+                    node.value = float(node.value)
+                except OverflowError:
+                    raise ConfigurationError(
+                        f"potential expression {expr!r} has a literal beyond float range") from None
+        return ast.unparse(tree)
 
     @classmethod
     def constant(cls, value: float, **flags) -> "Potential":
@@ -394,7 +406,7 @@ class Potential:
             names = dict(self._EXPR_NAMES)
             names["t"] = grid.x
             try:
-                vals = eval(self.expr, {"__builtins__": {}}, names)  # noqa: S307 grammar checked in __init__
+                vals = eval(self._code, {"__builtins__": {}}, names)  # noqa: S307 grammar checked in __init__
             except (ArithmeticError, TypeError, ValueError) as e:
                 raise ConfigurationError(f"potential expression {self.expr!r} fails: {e}") from None
         else:

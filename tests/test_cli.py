@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import WELL_EXPR
-from fracnls import cli
+from fracnls import cli, make_grid
 
 CANON = {
     "tag": "canon",
@@ -48,6 +48,12 @@ BUMP = {
 }
 
 P_SWEEP = dict(CANON, sweep={"parameter": "p", "values": [3.0]})
+
+# the well sampled on its own grid: no values off that grid for --refine
+_X = make_grid(WELL["L"], WELL["N"]).x
+TABLE = dict(WELL, tag="table", potential={
+    "table": (2.0 - 1.0 / (1.0 + _X**2)).tolist(), "V0": 1.0, "Vinf": 2.0,
+    "flags": WELL["potential"]["flags"]})
 
 EXPLOIT = "().__class__.__mro__[1].__subclasses__().__len__()"
 
@@ -188,6 +194,15 @@ class TestGroundStateCommand:
         assert report["refinement_drift"] is not None
         assert report["truncation_err"] is not None
 
+    def test_refine_on_table_potential_reports_no_drifts(self, tmp_path, capsys):
+        gs = {k: v for k, v in TABLE.items() if k != "sweep"}
+        code, out, err = main_in_process(capsys, "ground-state", gs, tmp_path, "--refine")
+        assert code == 0, err
+        assert out.startswith("converged: ")
+        report = json.loads((tmp_path / "out" / "table_0.75_256.json").read_text())
+        assert report["refinement_drift"] is None
+        assert report["truncation_err"] is None
+
     def test_well_reports_limiting_level(self, tmp_path):
         w = {k: v for k, v in WELL.items() if k != "sweep"}
         cfg = write_config(tmp_path / "w.json", w)
@@ -286,7 +301,36 @@ class TestSweepCommand:
         rows = list(csv.DictReader(open(tmp_path / "out" / "canon_sweep_L.csv")))
         assert rows[0]["status"] == "ok"
         assert rows[1]["status"] == "error:AdmissibilityError"
+        assert rows[1]["c"] == "nan"
+        assert rows[1]["iterations"] == "0"
+        assert rows[1]["converged"] == "false"
         assert "error:AdmissibilityError" in err
+
+    def test_refine_on_table_potential_rows_ok(self, tmp_path, capsys):
+        code, _, err = main_in_process(capsys, "sweep", TABLE, tmp_path, "--refine")
+        assert code == 0, err
+        rows = list(csv.DictReader(open(tmp_path / "out" / "table_sweep_epsilon.csv")))
+        assert [r["status"] for r in rows] == ["ok"] * 3
+        assert all(r["refinement_drift"] == r["truncation_err"] == "nan" for r in rows)
+
+    def test_sweep_row_matches_ground_state_json(self, tmp_path, capsys):
+        # both outputs are written from one record per solved point
+        short = json.loads(json.dumps(WELL))
+        short["sweep"]["values"] = [0.0]
+        code, _, err = main_in_process(capsys, "sweep", short, tmp_path, "--refine")
+        assert code == 0, err
+        row = next(csv.DictReader(open(tmp_path / "out" / "well_sweep_epsilon.csv")))
+        gs = {k: v for k, v in WELL.items() if k != "sweep"}
+        code, _, err = main_in_process(capsys, "ground-state", gs, tmp_path, "--refine")
+        assert code == 0, err
+        report = json.loads((tmp_path / "out" / "well_0.75_256.json").read_text())
+        for col, key in (("c", "c"), ("c_inf", "c_infinity"), ("residual", "residual"),
+                         ("symmetry_defect", "symmetry_defect"),
+                         ("refinement_drift", "refinement_drift"),
+                         ("truncation_err", "truncation_err")):
+            assert float(row[col]) == report[key], col
+        assert int(row["iterations"]) == report["iterations"]
+        assert row["converged"] == "true" and report["converged"] is True
 
     @pytest.mark.parametrize("section,key,value,named", [
         ("potential", "expr", EXPLOIT, "may not contain"),
@@ -414,6 +458,15 @@ class TestConfigErrors:
         code, _, err = main_in_process(capsys, "ground-state", cfg, tmp_path)
         assert code == 1
         assert "may not contain" in err
+
+    def test_huge_power_in_expression_is_one_error_line(self, tmp_path, capsys):
+        # read as floats, 9**9**9 overflows at once instead of running for minutes
+        cfg = json.loads(json.dumps(BUMP))
+        cfg["potential"]["expr"] = "9**9**9"
+        code, _, err = main_in_process(capsys, "ground-state", cfg, tmp_path)
+        assert code == 1
+        assert err.count("error:") == 1 and err.startswith("error: ")
+        assert "out of range" in err
 
     @pytest.mark.parametrize("command,section,key,value", [
         ("ground-state", None, "N", "abc"),

@@ -208,10 +208,29 @@ class TestPotential:
 
     @pytest.mark.parametrize("expr", ["t.real", "t[0]", "'1'", "(lambda s: s)(t)",
                                       "where(t > 0, x=1.0)", "foo(t)", "pi(t)", "1 +",
-                                      "1 < t < 2"])
+                                      "1 < t < 2", "3 & 1", "1 << 3", "~t", "not t",
+                                      pytest.param("1" + "0" * 400, id="int-literal-1e400")])
     def test_expression_grammar_rejects(self, expr):
         with pytest.raises(ConfigurationError):
             Potential.from_expr(expr, V0=1.0, V_inf=1.0)
+
+    @pytest.mark.parametrize("expr", ["10**400", "9**9**9"])
+    def test_power_beyond_float_range_fails_at_once(self, expr):
+        # literals are floats, so no exact integer power is ever computed
+        V = Potential.from_expr(expr, V0=1.0, V_inf=1.0)
+        with pytest.raises(ConfigurationError, match="out of range"):
+            V.on(make_grid(10.0, 64))
+
+    @pytest.mark.parametrize("expr,named", [("3 & 1", "BitAnd"), ("1 << t", "LShift")])
+    def test_rejected_operator_named(self, expr, named):
+        with pytest.raises(ConfigurationError, match=named):
+            Potential.from_expr(expr, V0=1.0, V_inf=1.0)
+
+    def test_literals_read_as_floats(self):
+        g = make_grid(10.0, 64)
+        V = Potential.from_expr("1 + 1/(1+t**2)", V0=1.0, V_inf=1.0)
+        assert V.expr == "1 + 1/(1+t**2)"
+        assert np.array_equal(V.on(g), 1.0 + 1.0 / (1.0 + g.x**2.0))
 
     def test_expression_grammar_accepts(self):
         g = make_grid(10.0, 64)
