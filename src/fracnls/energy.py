@@ -33,19 +33,27 @@ positivity test: a ray whose integral is not a positive finite
 number (no positive part, or values whose powers underflow to 0 or
 overflow) raises ``ProjectionError``.
 
-For any other nonlinearity the mismatch
+For any other nonlinearity the peak is the root of the mismatch
 
-    m(sigma) = Q - integral f(sigma*u) u / sigma
+    m(sigma) = Q - k(sigma),    k(sigma) = integral f(sigma*u) u / sigma,
 
-is bracketed by doubling or halving away from sigma = 1, and the root is
-refined by regula falsi with the Illinois modification to a relative width
-of 4 machine epsilons; strict monotonicity of m under the f-hypotheses
-guarantees a single root.
+which is single, as k increases strictly under the f-hypotheses.  f
+vanishes on xi <= 0 (f0), so k is a dot product over the ray's positive
+entries, taken once per projection.  The root is found by secant steps on
+log(k/Q) against log sigma, from sigma = 1 and the pure-power guess
+
+    log sigma = log(Q / k(1)) / (theta - 2),
+
+which is exact for f(xi) = xi_+^p with theta = p + 1.  On a ray near the
+manifold, four or five evaluations of k reach a step of 4 machine epsilons
+relative.  Every evaluation tightens a sign bracket of the root, and a step
+that leaves it falls back inside.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,54 +113,67 @@ def weak_residual_norm(u: Field, prob: Problem) -> float:
     return l2_norm(gradient_I(u, prob)) / nx
 
 
-def _bracket(m) -> tuple:
-    """(lo, hi, m(lo), m(hi), evaluations) with m(lo) >= 0 >= m(hi), hi = 2 lo
-    unless the root is exactly 1."""
-    lo = hi = 1.0
-    m_lo = m_hi = m(1.0)
-    steps = 0
-    while m_hi > 0.0:  # root lies above: double until the mismatch turns
-        steps += 1
-        if steps > _MAX_BRACKET_STEPS:
-            raise ProjectionError(f"mismatch stayed positive up to sigma={hi:.3e}; "
-                                  "nonlinearity may be subcritical on this ray")
-        lo, m_lo = hi, m_hi
-        hi *= 2.0
-        m_hi = m(hi)
-    while m_lo < 0.0:  # root lies below: halve until the mismatch turns
-        steps += 1
-        if steps > _MAX_BRACKET_STEPS:
-            raise ProjectionError(f"mismatch stayed negative down to sigma={lo:.3e}; "
-                                  "f(xi)/xi may not vanish at 0+ on this ray")
-        hi, m_hi = lo, m_lo
-        lo /= 2.0
-        m_lo = m(lo)
-    return lo, hi, m_lo, m_hi, steps + 1
+def _log_secant(k, Q: float, theta: float) -> tuple:
+    """Root of ``k(sigma) = Q`` for an increasing ``k``, by secant steps on
+    ``h = log(k/Q)`` against ``log sigma``: ``(root, (lo, hi), evaluations)``
+    with ``k(lo) <= Q <= k(hi)``.
 
-
-def _illinois(m, lo: float, hi: float, m_lo: float, m_hi: float) -> tuple:
-    """Root of the decreasing m on [lo, hi], where m(lo) > 0 > m(hi), by
-    regula falsi; an end point kept twice in a row has its value halved
-    (Illinois), so both ends close in.  Returns (root, evaluations)."""
-    kept = 0  # +1 after lo moved, -1 after hi moved
-    for n in range(_MAX_ROOT_STEPS):
-        x = (lo * m_hi - hi * m_lo) / (m_hi - m_lo)
-        if hi - lo <= _RTOL * x or not lo < x < hi:
-            return x, n
-        mx = m(x)
-        if mx > 0.0:
-            lo, m_lo = x, mx
-            if kept == 1:
-                m_hi *= 0.5
-            kept = 1
-        elif mx < 0.0:
-            hi, m_hi = x, mx
-            if kept == -1:
-                m_lo *= 0.5
-            kept = -1
+    The first step, from sigma = 1, takes the slope ``theta - 2`` of a pure
+    power, for which it is exact; no later step takes a smaller slope.  Every
+    evaluated point tightens the bracket, and a step that leaves it bisects
+    it in log sigma.  While one end is missing, a step goes at least
+    ``reach`` past the known end, and ``reach`` doubles with each such step,
+    so a root approached from one side is still bracketed.  Where ``h`` has
+    no finite value, or the step is past the float range, sigma doubles or
+    halves.
+    """
+    big = math.log(sys.float_info.max)  # the largest step exp can take
+    lo, hi = 0.0, math.inf
+    sigma, prev, reach = 1.0, None, _RTOL
+    evals = 0
+    while True:
+        ks = k(sigma)
+        evals += 1
+        if ks > Q:
+            hi = sigma
+        elif ks <= Q:
+            lo = sigma
+            if ks == Q:
+                return sigma, ((sigma, hi) if hi < math.inf else (sigma, sigma)), evals
         else:
-            return x, n + 1
-    return x, _MAX_ROOT_STEPS
+            raise ProjectionError(f"mismatch is not a number at sigma={sigma:.3e}")
+        r = ks / Q
+        step = math.nan
+        if 0.0 < r < math.inf:
+            h = math.log(r)
+            slope = theta - 2.0
+            if prev is not None:
+                slope = max(slope, (h - prev[1]) / math.log(sigma / prev[0]))
+            prev = sigma, h
+            step = -h / slope
+        else:
+            prev = None
+        if 0.0 < lo and hi < math.inf:
+            width = math.log(hi / lo)
+            nxt = sigma * math.exp(step) if abs(step) < min(width, big) else sigma
+            if (abs(step) <= _RTOL or width <= _RTOL
+                    or evals == _MAX_BRACKET_STEPS + _MAX_ROOT_STEPS):
+                return min(max(nxt, lo), hi), (lo, hi), evals
+            sigma = nxt if lo < nxt < hi else lo * math.sqrt(hi / lo)
+            continue
+        up = hi == math.inf
+        if evals < _MAX_BRACKET_STEPS:
+            out = max(step if up else -step, reach)  # stays nan for a nan step
+            reach *= 2.0
+            factor = math.exp(out) if out < big else 2.0
+            sigma = sigma * factor if up else sigma / factor
+            if 0.0 < sigma < math.inf:
+                continue
+        if up:
+            raise ProjectionError(f"mismatch stayed positive up to sigma={lo:.3e}; "
+                                  "nonlinearity may be subcritical on this ray")
+        raise ProjectionError(f"mismatch stayed negative down to sigma={hi:.3e}; "
+                              "f(xi)/xi may not vanish at 0+ on this ray")
 
 
 def project_ray(vals: np.ndarray, Q: float, prob: Problem) -> tuple:
@@ -172,8 +193,10 @@ def project_ray(vals: np.ndarray, Q: float, prob: Problem) -> tuple:
         if not 0.0 < S < math.inf:
             raise ProjectionError(f"integral of u_+^(p+1) on the ray is {S!r}: no positive "
                                   "part, or one out of floating-point range")
-    elif not np.any(vals > 0.0):
-        raise ProjectionError("ray has no positive part, the fibering map has no maximizer")
+    else:
+        pos = vals[vals > 0.0]
+        if not pos.size:
+            raise ProjectionError("ray has no positive part, the fibering map has no maximizer")
     if Q <= 0.0:
         raise AdmissibilityError("zero field cannot be projected")
     if nl.kind == "power":
@@ -181,15 +204,8 @@ def project_ray(vals: np.ndarray, Q: float, prob: Problem) -> tuple:
         sigma = (Q / S) ** (1.0 / (p - 1.0))
         return sigma, (0.5 - 1.0 / (p + 1.0)) * sigma * sigma * Q, (sigma, sigma), 0
 
-    def m(sigma: float) -> float:
-        return Q - dx * float(np.sum(nl.f(sigma * vals) * vals)) / sigma
-
-    lo, hi, m_lo, m_hi, evals = _bracket(m)
-    if m_hi == 0.0:
-        sigma, n = hi, 0
-    elif m_lo == 0.0:
-        sigma, n = lo, 0
-    else:
-        sigma, n = _illinois(m, lo, hi, m_lo, m_hi)
+    # f vanishes on xi <= 0 (f0), so integral f(sigma u) u / sigma needs only u's positive part
+    f = nl.f_callable
+    sigma, bracket, evals = _log_secant(lambda s: dx * float(f(s * pos) @ pos) / s, Q, nl.theta)
     psi = 0.5 * sigma * sigma * Q - dx * float(np.sum(nl.F(sigma * vals)))
-    return sigma, psi, (lo, hi), evals + n
+    return sigma, psi, bracket, evals

@@ -83,11 +83,12 @@ class Nonlinearity:
     with the loop.
 
     The custom primitive ``F(xi) = integral_0^xi f`` is a composite
-    Gauss-Legendre rule over the sorted distinct positive values
-    ``x_(1) < ... < x_(M)`` of the input: one panel on ``[0, x_(1)]`` and one
-    on each gap ``[x_(k-1), x_(k)]``, with ``F(x_(k))`` the running sum of the
-    panels.  A gap no wider than its distance from 0 takes 8 nodes; a wider
-    one, and the first panel, take 64.  On a sampled continuous profile
+    Gauss-Legendre rule over the sorted positive values ``x_(1) <= ... <=
+    x_(n)`` of the input: one panel on ``[0, x_(1)]`` and one on each gap
+    ``[x_(k-1), x_(k)]``, with ``F(x_(k))`` the running sum of the panels.  A
+    gap no wider than its distance from 0 takes 8 nodes; a wider one, and the
+    first panel, take 64; a gap of width 0, between equal values, takes none.
+    On a sampled continuous profile with ``M`` distinct positive values
     nearly every gap is narrow, so ``f`` sees about ``8 M + 64`` points, all
     strictly positive.  Nonpositive entries get exactly 0.
     """
@@ -140,18 +141,23 @@ class Nonlinearity:
             return pos ** (self.p + 1.0) / (self.p + 1.0)
         out = np.zeros(xi.shape)
         positive = xi > 0.0
-        xs, back = np.unique(xi[positive], return_inverse=True)
-        edges = np.concatenate(([0.0], xs))
+        vals = xi[positive]
+        # stable: a sampled profile is a few monotone runs, which it merges
+        order = np.argsort(vals, kind="stable")
+        edges = np.concatenate(([0.0], vals[order]))
         lo, width = edges[:-1], np.diff(edges)
         wide = width > lo
-        panels = np.empty(xs.size)
-        for sel, n in ((wide, 64), (~wide, 8)):
+        # a repeated value opens a panel of width 0, which adds nothing
+        panels = np.zeros(vals.size)
+        for sel, n in ((wide, 64), (~wide & (width > 0.0), 8)):
             if np.any(sel):
                 nodes, weights = _gauss_legendre(n)
                 # one column per panel: numpy's inner loops then run over the panels
                 x = lo[sel] + nodes[:, None] * width[sel]
                 panels[sel] = width[sel] * (weights @ self.f_callable(x))
-        out[positive] = np.cumsum(panels)[back]
+        cum = np.empty(vals.size)
+        cum[order] = np.cumsum(panels)
+        out[positive] = cum
         return out
 
 

@@ -62,7 +62,9 @@ loop's arrays.
 Non-convergence (iteration budget exhausted or a fully collapsed line
 search) is a reported state, never an exception: comparison sweeps must be
 able to aggregate partial results.  ``GroundStateReport.stop_reason`` says
-which of the loop's three exits was taken.
+which of the loop's three exits was taken, and ``projections`` and
+``mismatch_evals`` count the ray projections and the root-finder evaluations
+they took.
 """
 
 from __future__ import annotations
@@ -154,6 +156,10 @@ class GroundStateReport:
     # taken) or "collapsed" (no trial step passed the decrease test)
     stop_reason: str
     energy: EnergyBreakdown
+    # ray projections that returned, the start's and every trial step's, and
+    # the mismatch evaluations they took (0 for the power closed form)
+    projections: int
+    mismatch_evals: int
 
     @property
     def c(self) -> float:
@@ -252,11 +258,12 @@ def _direction(dx: float, g: np.ndarray, d: np.ndarray, dh: np.ndarray, gd: floa
     return p, dh + beta * ph_prev, gp
 
 
-def _line_search(prob: Problem, u: np.ndarray, uh: np.ndarray, p: np.ndarray,
+def _line_search(prob: Problem, project, u: np.ndarray, uh: np.ndarray, p: np.ndarray,
                  ph: np.ndarray, Q: float, E: float, slope: float):
     """The projected step along ``u - t p`` as the next state ``(u, u_hat, Q,
     E)``, or None when the search collapses.  ``Q`` is u's squared X-norm,
-    ``E`` its energy and ``slope = <g, p>_L2`` the decrease rate at t = 0.
+    ``E`` its energy, ``slope = <g, p>_L2`` the decrease rate at t = 0, and
+    ``project(v, Q_v)`` returns the ray projection's ``(sigma, psi)``.
 
     The accepted step is ``sigma (u - t p)``: its half spectrum is
     ``sigma (u_hat - t p_hat)`` and its squared X-norm ``sigma^2`` times the
@@ -271,7 +278,7 @@ def _line_search(prob: Problem, u: np.ndarray, uh: np.ndarray, p: np.ndarray,
     def trial(t: float) -> tuple:
         v = u - t * p
         Qt = Q - 2.0 * t * B + t * t * Qp
-        sigma, psi = project_ray(v, Qt, prob)[:2]
+        sigma, psi = project(v, Qt)
         return psi, sigma, Qt, v
 
     t = 1.0
@@ -318,11 +325,19 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None) -> GroundSta
     u0 = u0 / top
 
     grid = prob.grid
+    tally = [0, 0]  # projections, mismatch evaluations
+
+    def project(v: np.ndarray, Qv: float) -> tuple:
+        sigma, psi, _, evals = project_ray(v, Qv, prob)
+        tally[0] += 1
+        tally[1] += evals
+        return sigma, psi
+
     # the loop state (u, u_hat, Q, E): the start projected onto the manifold;
     # every accepted step updates all four without a transform of u
     u0h = np.fft.rfft(u0)
     Q0 = _x_product(prob, u0h, u0h, u0, u0)
-    sigma, E = project_ray(u0, Q0, prob)[:2]
+    sigma, E = project(u0, Q0)
     u, uh, Q = sigma * u0, sigma * u0h, sigma * sigma * Q0
 
     iterations = 0
@@ -347,7 +362,7 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None) -> GroundSta
         gd = grid.dx * float(g @ d)
         p, ph, slope = _direction(grid.dx, g, d, dh, gd, prev)
         prev = (g, gd, p, ph)
-        step = _line_search(prob, u, uh, p, ph, Q, E, slope)
+        step = _line_search(prob, project, u, uh, p, ph, Q, E, slope)
         if step is None:
             stop_reason = "collapsed"
             break
@@ -357,7 +372,7 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None) -> GroundSta
     u = Field(grid, u)
     if res is None:
         res = weak_residual_norm(u, prob)
-    return GroundStateReport(u, res, iterations, stop_reason, evaluate_I(u, prob))
+    return GroundStateReport(u, res, iterations, stop_reason, evaluate_I(u, prob), *tally)
 
 
 def check_nonnegativity(report_or_field, tol: float = 1e-6) -> CheckResult:

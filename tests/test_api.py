@@ -91,9 +91,11 @@ def test_removed_name_not_importable(name):
 
 
 def test_report_stores_only_what_the_descent_produced():
-    # c, converged and the two diagnostics derive from these five fields
+    # c, converged and the two diagnostics derive from the first five fields;
+    # the last two count the descent's ray projections
     fields = [f.name for f in dataclasses.fields(fracnls.GroundStateReport)]
-    assert fields == ["u", "residual", "iterations", "stop_reason", "energy"]
+    assert fields == ["u", "residual", "iterations", "stop_reason", "energy",
+                      "projections", "mismatch_evals"]
 
 
 def test_package_imports_form_a_dag():

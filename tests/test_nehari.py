@@ -3,8 +3,8 @@
 The power nonlinearity projects in closed form, so for it the cubic closed
 form sigma_u = sqrt(||u||_X^2 / integral u_+^4) checks little more than the
 formula.  The projection tests therefore also run on the custom nonlinearity
-f(s) = s^3, which takes the bracket and Illinois root finder and never shares
-a code path with the closed form.
+f(s) = s^3, which takes the bracketed log-log secant root and never shares a
+code path with the closed form.
 """
 
 import numpy as np
@@ -24,6 +24,7 @@ from fracnls import (
     default_start,
     evaluate_I,
     ground_state,
+    inner_product_X,
     level_c,
     level_c_infinity,
     make_problem,
@@ -32,6 +33,7 @@ from fracnls import (
     power_nonlinearity,
     random_starts,
 )
+from fracnls.energy import _MAX_BRACKET_STEPS, project_ray
 from fracnls.nehari import _symmetric_start
 
 from conftest import WELL_EXPR, positive_field
@@ -57,6 +59,14 @@ def mismatch(u, prob, sigma):
     q = norm_X(u, prob.alpha, prob.potential) ** 2
     f = prob.nonlinearity.f(sigma * u.values)
     return q - prob.grid.dx * np.sum(f * u.values) / sigma
+
+
+def projected_mismatch(u, prob, sigma):
+    """The mismatch with the projection's own arithmetic: its sign at a bracket
+    end is the one the root finder saw, even at roundoff from the root."""
+    q = inner_product_X(u, u, prob.alpha, prob.V_values)
+    pos = u.values[u.values > 0.0]
+    return q - prob.grid.dx * float(prob.nonlinearity.f_callable(sigma * pos) @ pos) / sigma
 
 
 class TestProjection:
@@ -106,14 +116,41 @@ class TestProjection:
         assert changes == 1
 
     def test_bracket_contains_root(self, both_paths):
-        closed, bracketed = (nehari_project(positive_field(p.grid, np.random.default_rng(65)), p)
-                             for p in both_paths)
-        for rep in (closed, bracketed):
-            lo, hi = rep.bracket
-            assert lo <= rep.sigma_u <= hi
-        assert closed.iterations == 0
-        assert bracketed.bracket[0] < bracketed.bracket[1]
-        assert bracketed.iterations > 0
+        closed, bracketed = both_paths
+        u = positive_field(closed.grid, np.random.default_rng(65))
+        rep = nehari_project(u, closed)
+        lo, hi = rep.bracket
+        assert lo <= rep.sigma_u <= hi
+        assert rep.iterations == 0
+        # the seed-65 ray's root lies near 33; the same ray scaled to 1.0001
+        # times its root has its root near 1, where the solver's rays sit
+        near = Field(u.grid, 1.0001 * rep.sigma_u * u.values)
+        for v, root in ((u, rep.sigma_u), (near, 1.0 / 1.0001)):
+            rep_b = nehari_project(v, bracketed)
+            lo, hi = rep_b.bracket
+            assert rep_b.sigma_u == pytest.approx(root, rel=1e-12)
+            assert lo < hi
+            assert lo <= rep_b.sigma_u <= hi
+            assert projected_mismatch(v, bracketed, lo) >= 0.0 >= projected_mismatch(v, bracketed, hi)
+            assert rep_b.iterations > 0
+
+    @pytest.mark.parametrize("side", ["positive", "negative"])
+    def test_one_signed_mismatch_raises_within_the_cap(self, grid512, side):
+        # f(s) = 2 s makes the mismatch Q - 2 integral u_+^2, whatever sigma:
+        # with Q above that it stays positive however far sigma grows, below
+        # it negative however far sigma shrinks.  (f1) fails: not validated.
+        calls = []
+        nl = custom_nonlinearity(lambda s: calls.append(1) or 2.0 * s, theta=3.0, p0=3.5)
+        prob = make_problem(grid512, 0.75, nl, Potential.constant(1.0), validate=False)
+        vals = positive_field(grid512, np.random.default_rng(67)).values
+        level = 2.0 * grid512.dx * float(np.sum(np.maximum(vals, 0.0) ** 2))
+        if side == "positive":
+            Q, match = 2.0 * level, "stayed positive .* subcritical"
+        else:
+            Q, match = 0.5 * level, "stayed negative .* may not vanish at 0\\+"
+        with pytest.raises(ProjectionError, match=match):
+            project_ray(vals, Q, prob)
+        assert 0 < len(calls) <= _MAX_BRACKET_STEPS
 
     def test_nonpositive_start_rejected(self, prob512):
         u = Field(prob512.grid, -np.ones(prob512.grid.N))
@@ -256,3 +293,31 @@ class TestContinuitySweep:
         assert all(b > a for a, b in zip(cs, cs[1:]))
         assert table.monotone
         assert table.moduli_decreasing
+
+
+class TestProjectionCounts:
+    """The report counts the descent's ray projections and the mismatch
+    evaluations they took."""
+
+    @pytest.fixture(scope="class")
+    def custom_well(self, grid_canonical, well_potential):
+        nl = custom_nonlinearity(lambda s: s**3 + s**2, theta=3.0, p0=3.5)
+        return make_problem(grid_canonical, 0.75, nl, well_potential)
+
+    def test_counts_repeat_exactly(self, custom_well, prob_well):
+        for prob in (custom_well, prob_well):
+            a, b = ground_state(prob), ground_state(prob)
+            assert (a.projections, a.mismatch_evals) == (b.projections, b.mismatch_evals)
+            # the start's projection and at least one trial per step
+            assert a.projections > a.iterations > 0
+
+    def test_power_path_evaluates_no_mismatch(self, prob_well):
+        rep = ground_state(prob_well)
+        assert rep.projections > 0 and rep.mismatch_evals == 0
+
+    @pytest.mark.parametrize("level", [level_c, level_c_infinity])
+    def test_custom_path_evaluations_per_projection(self, custom_well, level):
+        # 7.2 per projection with a doubling bracket and Illinois steps
+        rep = level(custom_well)
+        assert rep.converged
+        assert 0 < rep.mismatch_evals <= 5 * rep.projections

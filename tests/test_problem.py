@@ -105,6 +105,26 @@ class TestCustomPrimitive:
         assert got.shape == (2, 2) and np.all(got == 0.0)
         assert f.points == 0
 
+    def test_ties_of_an_even_profile_add_no_points(self):
+        # exactly even, v[j] = v[N - j]: N/2 + 1 distinct values, nearly all twice
+        f = _counting(lambda s: s**3 + s**2)
+        nl = custom_nonlinearity(f, theta=3.0, p0=3.5)
+        N = self._GRID.N
+        j = np.arange(N)
+        xi = 1.7 / np.cosh(np.minimum(j, N - j) * self._GRID.dx) ** 1.3
+        distinct, back = np.unique(xi, return_inverse=True)
+        assert distinct.size == N // 2 + 1
+        got = nl.F(xi)
+        assert 0 < f.points <= 8 * distinct.size + 64
+        assert np.array_equal(got, nl.F(distinct)[back])
+        # nonpositive entries get exactly 0 and leave the positive ones as they were
+        mixed = np.concatenate((xi, -xi, [0.0, -0.0])).reshape(2, N + 1)
+        want = np.concatenate((got, np.zeros(N + 2))).reshape(2, N + 1)
+        assert np.array_equal(nl.F(mixed), want)
+        for x in (np.array(-1.0), np.array(0.0), np.float64(-0.0)):
+            zero = nl.F(x)
+            assert zero.shape == () and zero == 0.0
+
     def test_f_undefined_off_the_positive_axis(self):
         nl = custom_nonlinearity(lambda s: np.where(s > 0.0, s**3, np.nan), theta=4.0, p0=3.5)
         np.testing.assert_allclose(nl.F(np.array([-1.0, 0.0, 1.0, 2.0])), [0.0, 0.0, 0.25, 4.0],

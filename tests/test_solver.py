@@ -38,6 +38,7 @@ from fracnls import (
     weak_residual_norm,
 )
 from fracnls import solver
+from fracnls.energy import project_ray
 
 # alpha = 0.75, V = 1, p = 3, L = 20: the discrete minimum at N = 1024, taken
 # as the level that preconditioned steepest descent (this solver before its
@@ -192,7 +193,9 @@ class TestConjugateDescent:
         p, ph, slope = solver._direction(dx, g, d, dh, gd, prev)
         assert p is d and ph is dh and slope == gd > 0.0
         Q = solver._x_product(prob, uh, uh, u, u)
-        u_new, uh_new, Q_new, E_new = solver._line_search(prob, u, uh, p, ph, Q, E, slope)
+        project = lambda v, Qv: project_ray(v, Qv, prob)[:2]  # noqa: E731
+        u_new, uh_new, Q_new, E_new = solver._line_search(prob, project, u, uh, p, ph, Q, E,
+                                                          slope)
         assert E_new < E
         assert np.max(np.abs(uh_new - np.fft.rfft(u_new))) <= 1e-13 * np.max(np.abs(uh_new))
         assert Q_new == pytest.approx(solver._x_product(prob, uh_new, uh_new, u_new, u_new),
