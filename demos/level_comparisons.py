@@ -36,7 +36,7 @@ cmp = compare_levels(well.shifted(0.3), well, prob, cfg=cfg)
 print(f"\nordering: c(V + 0.3) = {cmp.c_a:.6f} >= c(V) = {cmp.c_b:.6f}"
       f"  margin {cmp.margin:.6f}  ordered: {cmp.ordered}")
 
-table = continuity_sweep(well, [0.4, 0.2, 0.1, 0.05], prob, cfg=cfg)
+table = continuity_sweep(prob, [0.4, 0.2, 0.1, 0.05], cfg=cfg)
 print(f"\ncontinuity in the shift (base c = {table.c_base:.8f})")
 for row in table.rows:
     print(f"  eps = {row.eps:<5} c = {row.c:.8f}  |c - c0| = {abs(row.c - table.c_base):.2e}")

@@ -13,132 +13,22 @@ and the symmetry of ground states for even nondecreasing potentials via the
 symmetric decreasing rearrangement.
 """
 
-from .exceptions import (
-    AdmissibilityError,
-    ConfigurationError,
-    HypothesisError,
-    ProjectionError,
-)
-from .grid import (
-    Field,
-    Grid,
-    composed_operator,
-    embed_field,
-    integrate,
-    left_lw_derivative,
-    make_grid,
-    refine_field,
-    right_lw_derivative,
-)
-from .spaces import (
-    embedding_ratio,
-    inner_product_X,
-    l2_norm,
-    norm_X,
-    norm_alpha,
-    seminorm_alpha,
-    sup_norm,
-)
-from .problem import (
-    Nonlinearity,
-    Potential,
-    Problem,
-    custom_nonlinearity,
-    make_problem,
-    power_nonlinearity,
-    problem_from_config,
-    validate_nonlinearity,
-    validate_potential,
-)
-from .energy import (
-    evaluate_I,
-    gradient_I,
-    weak_residual_norm,
-)
-from .solver import (
-    GaussianBump,
-    GroundStateReport,
-    SolverConfig,
-    check_nonnegativity,
-    default_start,
-    ground_state,
-    random_starts,
-    symmetry_diagnostic,
-)
-from .nehari import (
-    LEVEL_TOL,
-    compare_c_to_c_infinity,
-    compare_levels,
-    continuity_sweep,
-    level_c,
-    level_c_infinity,
-    nehari_project,
-)
-from .rearrange import (
-    layer_cake_check,
-    polya_szego_check,
-    potential_monotonicity_check,
-    rearrange,
-    rearrange_values,
-)
-from .verify import SUITES, run_suite
+# the module objects, taken before `from .rearrange import *` rebinds the
+# name `rearrange` to the function; each module's `__all__` is its exports
+from . import energy, exceptions, grid, nehari, problem, rearrange, solver, spaces, verify
+
+_MODULES = (exceptions, grid, spaces, problem, energy, solver, nehari, rearrange, verify)
+
+from .exceptions import *
+from .grid import *
+from .spaces import *
+from .problem import *
+from .energy import *
+from .solver import *
+from .nehari import *
+from .rearrange import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibilityError",
-    "ConfigurationError",
-    "HypothesisError",
-    "ProjectionError",
-    "Field",
-    "Grid",
-    "composed_operator",
-    "embed_field",
-    "integrate",
-    "left_lw_derivative",
-    "make_grid",
-    "refine_field",
-    "right_lw_derivative",
-    "embedding_ratio",
-    "inner_product_X",
-    "l2_norm",
-    "norm_X",
-    "norm_alpha",
-    "seminorm_alpha",
-    "sup_norm",
-    "Nonlinearity",
-    "Potential",
-    "Problem",
-    "custom_nonlinearity",
-    "make_problem",
-    "power_nonlinearity",
-    "problem_from_config",
-    "validate_nonlinearity",
-    "validate_potential",
-    "evaluate_I",
-    "gradient_I",
-    "weak_residual_norm",
-    "LEVEL_TOL",
-    "compare_c_to_c_infinity",
-    "compare_levels",
-    "continuity_sweep",
-    "level_c",
-    "level_c_infinity",
-    "nehari_project",
-    "GaussianBump",
-    "GroundStateReport",
-    "SolverConfig",
-    "check_nonnegativity",
-    "default_start",
-    "ground_state",
-    "random_starts",
-    "symmetry_diagnostic",
-    "layer_cake_check",
-    "polya_szego_check",
-    "potential_monotonicity_check",
-    "rearrange",
-    "rearrange_values",
-    "SUITES",
-    "run_suite",
-    "__version__",
-]
+__all__ = [name for module in _MODULES for name in module.__all__] + ["__version__"]

@@ -11,6 +11,7 @@ and ``Problem.symbol``.  The gradient is represented as the plain field
 
 whose L2 pairing with any grid test function equals the directional
 derivative of I; g = 0 identifies a weak solution on the discrete space.
+``gradient_I`` wraps ``_gradient``, the array kernel the solver loop calls.
 The convergence criterion ``weak_residual_norm`` is the L2 norm of g scaled
 by the X-norm of u; a true dual norm is not needed for a stopping rule and
 is documented as such.
@@ -98,11 +99,15 @@ def evaluate_I(u: Field, prob: Problem) -> EnergyBreakdown:
     return EnergyBreakdown(kinetic=kinetic, potential_term=potential_term, nonlinear=nonlinear)
 
 
+def _gradient(prob: Problem, u: np.ndarray, uh: np.ndarray) -> np.ndarray:
+    """L2 gradient of the energy at the values u, given u's half spectrum."""
+    lin = np.fft.irfft(prob.symbol * uh, prob.grid.N)
+    return lin + prob.V_values * u - prob.nonlinearity.f(u)
+
+
 def gradient_I(u: Field, prob: Problem) -> Field:
     """L2 representative of the derivative of I at u."""
-    lin = np.fft.irfft(prob.symbol * np.fft.rfft(u.values), u.grid.N)
-    vals = lin + prob.V_values * u.values - prob.nonlinearity.f(u.values)
-    return Field(u.grid, vals)
+    return Field(u.grid, _gradient(prob, u.values, np.fft.rfft(u.values)))
 
 
 def weak_residual_norm(u: Field, prob: Problem) -> float:

@@ -5,6 +5,8 @@ problems are user errors (exit 1), while numerical non-convergence is a
 reported state, never an exception.
 """
 
+__all__ = ["ConfigurationError", "HypothesisError", "AdmissibilityError", "ProjectionError"]
+
 
 class ConfigurationError(ValueError):
     """Bad grid, solver, or config-file parameters (wrong parity, sign, schema)."""

@@ -45,6 +45,7 @@ from .solver import GroundStateReport, SolverConfig, default_start, ground_state
 from .spaces import inner_product_X
 
 __all__ = [
+    "LEVEL_TOL",
     "nehari_project",
     "level_c",
     "level_c_infinity",
@@ -210,26 +211,25 @@ class ContinuityTable:
 
 
 def continuity_sweep(
-    V: Potential,
-    epsilons: Sequence[float],
     prob: Problem,
+    epsilons: Sequence[float],
     starts: Optional[Sequence[Field]] = None,
     cfg: Optional[SolverConfig] = None,
 ) -> ContinuityTable:
-    """Levels of the shifted potentials V + eps.
+    """Levels of the shifted potentials V + eps, with V the problem's potential.
 
     The unshifted level always appears as the eps = 0 row and the table is
     sorted by eps.  Beside the rows the table records whether c is monotone
     in eps and whether |c(eps) - c(0)| shrinks as eps does; both verdicts are
     reported, not raised, so sweeps aggregate partial behavior.
     """
-    base = level_c(prob.with_potential(V), starts, cfg=cfg)
+    base = level_c(prob, starts, cfg=cfg)
     rows = []
     for eps in sorted({0.0, *(float(e) for e in epsilons)}):
         if eps == 0.0:
             est = base
         else:
-            est = level_c(prob.with_potential(V.shifted(eps)), starts, cfg=cfg)
+            est = level_c(prob.with_potential(prob.potential.shifted(eps)), starts, cfg=cfg)
         rows.append(ContinuityRow(eps=eps, c=est.c, iterations=est.iterations))
 
     cs = [r.c for r in rows]

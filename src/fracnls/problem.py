@@ -75,8 +75,10 @@ _EDGE_FRACTION = 0.1
 class Nonlinearity:
     """The pair ``(f, F)`` with exponents ``(theta, p0)``.
 
-    ``kind`` is ``"power"`` (``f(xi) = max(xi, 0)^p`` with closed-form
-    primitive) or ``"custom"`` (callable ``f`` with optional derivative).
+    Exactly one of ``p`` and ``f_callable`` is given.  With ``p`` the
+    nonlinearity is the power ``f(xi) = max(xi, 0)^p`` with closed-form
+    primitive, ``kind == "power"``; with ``f_callable`` it is that callable,
+    with an optional derivative, ``kind == "custom"``.
     For an integer ``p`` the power ``f`` is a product of squares, as the
     descent loop calls it several times per step; ``F`` and ``fprime`` keep
     the float power, so the energy ``evaluate_I`` reports shares no product
@@ -93,7 +95,6 @@ class Nonlinearity:
     strictly positive.  Nonpositive entries get exactly 0.
     """
 
-    kind: str
     theta: float
     p0: float
     p: Optional[float] = None
@@ -101,20 +102,21 @@ class Nonlinearity:
     fprime_callable: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("power", "custom"):
-            raise ConfigurationError(f"unknown nonlinearity kind {self.kind!r}")
+        if (self.p is None) == (self.f_callable is None):
+            raise ConfigurationError("a nonlinearity needs exactly one of p (power) and "
+                                     "f_callable (custom)")
+        if self.p is not None and self.p <= 1.0:
+            raise ConfigurationError(f"power nonlinearity needs p > 1, got {self.p}")
         if self.theta <= 2.0:
             raise ConfigurationError(f"theta must exceed 2, got {self.theta}")
         if self.p0 + 1.0 <= self.theta:
             raise ConfigurationError(
                 f"growth exponent must satisfy p0 + 1 > theta, got p0={self.p0}, theta={self.theta}"
             )
-        if self.kind == "power":
-            if self.p is None or self.p <= 1.0:
-                raise ConfigurationError(f"power kind needs p > 1, got {self.p}")
-        else:
-            if self.f_callable is None:
-                raise ConfigurationError("custom kind needs a callable f")
+
+    @property
+    def kind(self) -> str:
+        return "custom" if self.p is None else "power"
 
     def f(self, xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
@@ -192,7 +194,7 @@ def power_nonlinearity(p: float, p0: Optional[float] = None) -> Nonlinearity:
         )
     if p0 is None:
         p0 = p + 0.5
-    return Nonlinearity(kind="power", theta=p + 1.0, p0=float(p0), p=p)
+    return Nonlinearity(theta=p + 1.0, p0=float(p0), p=p)
 
 
 def custom_nonlinearity(
@@ -201,9 +203,7 @@ def custom_nonlinearity(
     p0: float,
     fprime: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> Nonlinearity:
-    return Nonlinearity(
-        kind="custom", theta=float(theta), p0=float(p0), f_callable=f, fprime_callable=fprime
-    )
+    return Nonlinearity(theta=float(theta), p0=float(p0), f_callable=f, fprime_callable=fprime)
 
 
 @dataclass(frozen=True)
@@ -218,8 +218,11 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    passed: bool
     checks: tuple
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
     def failures(self) -> list:
         return [c for c in self.checks if not c.passed]
@@ -297,7 +300,7 @@ def validate_nonlinearity(nl: Nonlinearity) -> ValidationReport:
     else:
         checks.append(CheckResult("f3", True, f"f/xi^p0 decreasing on the tail, last value {s[-1]:.3e}"))
 
-    return ValidationReport(all(c.passed for c in checks), tuple(checks))
+    return ValidationReport(tuple(checks))
 
 
 class Potential:
@@ -402,10 +405,6 @@ class Potential:
     def from_expr(cls, expr: str, V0: float, V_inf: float, **flags) -> "Potential":
         return cls(V0=V0, V_inf=V_inf, expr=expr, **flags)
 
-    @classmethod
-    def from_table(cls, values: Sequence[float], V0: float, V_inf: float, **flags) -> "Potential":
-        return cls(V0=V0, V_inf=V_inf, table=values, **flags)
-
     def on(self, grid: Grid) -> np.ndarray:
         """Evaluate on the grid points, always returning a length-N array."""
         if self.expr is not None:
@@ -491,7 +490,7 @@ def validate_potential(V: Potential, grid: Grid, edge_tol: float = 0.05) -> Vali
             )
         )
 
-    return ValidationReport(all(c.passed for c in checks), tuple(checks))
+    return ValidationReport(tuple(checks))
 
 
 @dataclass(frozen=True)
@@ -544,14 +543,13 @@ def make_problem(
     alpha: float,
     nonlinearity: Nonlinearity,
     potential: Potential,
-    validate: bool = True,
     edge_tol: float = 0.05,
 ) -> Problem:
-    """Bundle the pieces, by default running both hypothesis validators."""
+    """Bundle the pieces after running both hypothesis validators;
+    ``Problem(grid, alpha, nonlinearity, potential)`` is the unchecked bundle."""
     prob = Problem(grid, float(alpha), nonlinearity, potential)
-    if validate:
-        validate_nonlinearity(nonlinearity).raise_on_failure()
-        validate_potential(potential, grid, edge_tol=edge_tol).raise_on_failure()
+    validate_nonlinearity(nonlinearity).raise_on_failure()
+    validate_potential(potential, grid, edge_tol=edge_tol).raise_on_failure()
     return prob
 
 

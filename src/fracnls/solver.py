@@ -55,9 +55,9 @@ The power nonlinearity's ``f`` is a product of squares for an integer p (see
 ``problem.Nonlinearity``), which the loop calls once per gradient and once
 per trial projection; the reported energy keeps the float power.
 
-The returned level, energy and residual are computed by the Field-level
-functions of ``energy``, which the tests also use as the reference for the
-loop's arrays.
+The loop's gradient is ``energy._gradient``, the kernel of
+``energy.gradient_I``.  The returned level, energy and residual are computed
+by the Field-level functions of ``energy``.
 
 Non-convergence (iteration budget exhausted or a fully collapsed line
 search) is a reported state, never an exception: comparison sweeps must be
@@ -76,7 +76,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .energy import EnergyBreakdown, evaluate_I, project_ray, weak_residual_norm
+from .energy import EnergyBreakdown, _gradient, evaluate_I, project_ray, weak_residual_norm
 from .exceptions import AdmissibilityError, ConfigurationError, ProjectionError
 from .grid import Field, Grid
 from .problem import CheckResult, Problem
@@ -171,7 +171,12 @@ class GroundStateReport:
 
     @functools.cached_property
     def nonneg_violation(self) -> float:
-        return nonneg_violation(self.u)
+        """Relative L2 mass of the negative part of ``u``."""
+        u = self.u
+        denom = l2_norm(u)
+        if denom == 0.0:
+            return 0.0
+        return float(np.sqrt(u.grid.dx * np.sum(np.minimum(u.values, 0.0)**2))) / denom
 
     @functools.cached_property
     def u_star(self) -> np.ndarray:
@@ -217,25 +222,11 @@ def _as_start_field(grid: Grid, start: Start) -> Field:
     return _bump_field(grid, start)
 
 
-def nonneg_violation(u: Field) -> float:
-    neg = np.minimum(u.values, 0.0)
-    denom = l2_norm(u)
-    if denom == 0.0:
-        return 0.0
-    return float(np.sqrt(u.grid.dx * np.sum(neg**2))) / denom
-
-
 def _x_product(prob: Problem, uh: np.ndarray, vh: np.ndarray, u: np.ndarray,
                v: np.ndarray) -> float:
     """X inner product of u and v from their values and half spectra."""
     dirichlet = np.vdot(uh, prob.dirichlet_weights * vh).real
     return float(dirichlet + prob.grid.dx * ((prob.V_values * u) @ v))
-
-
-def _gradient(prob: Problem, u: np.ndarray, uh: np.ndarray) -> np.ndarray:
-    """L2 gradient of the energy at u, given u's half spectrum."""
-    lin = np.fft.irfft(prob.symbol * uh, prob.grid.N)
-    return lin + prob.V_values * u - prob.nonlinearity.f(u)
 
 
 def _direction(dx: float, g: np.ndarray, d: np.ndarray, dh: np.ndarray, gd: float,
@@ -375,13 +366,10 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None) -> GroundSta
     return GroundStateReport(u, res, iterations, stop_reason, evaluate_I(u, prob), *tally)
 
 
-def check_nonnegativity(report_or_field, tol: float = 1e-6) -> CheckResult:
+def check_nonnegativity(report: GroundStateReport, tol: float = 1e-6) -> CheckResult:
     """Almost-everywhere nonnegativity of a computed state, as the relative
     L2 mass of the negative part."""
-    if isinstance(report_or_field, GroundStateReport):
-        mag = report_or_field.nonneg_violation
-    else:
-        mag = nonneg_violation(report_or_field)
+    mag = report.nonneg_violation
     return CheckResult(
         name="nonnegativity",
         passed=mag <= tol,

@@ -297,7 +297,7 @@ def suite_theorems(seed: int = 0) -> list:
                        f"largest relative gap {max(gaps):.3e} over p = 2, 3, 4, 5, "
                        f"iterations {iters}"))
 
-    table = continuity_sweep(prob.potential, [0.4, 0.2, 0.1, 0.05], prob, cfg=cfg)
+    table = continuity_sweep(prob, [0.4, 0.2, 0.1, 0.05], cfg=cfg)
     cs = sorted((r.eps, r.c) for r in table.rows if r.eps > 0.0)
     strict = all(b > a + 1e-6 for (_, a), (_, b) in zip([(0.0, table.c_base)] + cs, cs))
     out.append(_result("level increases strictly with the potential", table.monotone and strict,

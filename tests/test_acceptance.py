@@ -283,8 +283,7 @@ class TestCriterion05Nonnegativity:
 class TestCriterion06LevelMonotonicityContinuity:
     def test_criterion_06_level_monotone_and_continuous(self, canonical):
         eps = [0.05, 0.1, 0.2, 0.4]
-        table = continuity_sweep(canonical.potential, eps, canonical,
-                                 cfg=SolverConfig(grad_tol=GRAD_TOL))
+        table = continuity_sweep(canonical, eps, cfg=SolverConfig(grad_tol=GRAD_TOL))
         cs = [r.c for r in table.rows]  # ascending eps, 0 first
         margins = [b - a for a, b in zip(cs, cs[1:])]
         strictly_up = all(m > 1e-6 for m in margins)

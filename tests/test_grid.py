@@ -255,6 +255,21 @@ class TestRefineEmbed:
         with pytest.raises(ConfigurationError):
             embed_field(u, wide)
 
+    def test_embed_rejects_narrower_target(self):
+        u = Field(make_grid(20.0, 128), np.ones(128))
+        with pytest.raises(ConfigurationError, match="narrower"):
+            embed_field(u, make_grid(10.0, 64))
+
+    @pytest.mark.parametrize("factor", [0, 1.5])
+    def test_refine_rejects_factor_not_a_positive_integer(self, factor):
+        u = Field(make_grid(10.0, 64), np.ones(64))
+        with pytest.raises(ConfigurationError, match="positive integer"):
+            refine_field(u, factor)
+
+    def test_refine_by_one_returns_the_field_itself(self):
+        u = Field(make_grid(10.0, 64), np.ones(64))
+        assert refine_field(u, 1) is u
+
 
 class TestField:
     def test_rejects_nan(self):

@@ -16,6 +16,7 @@ from fracnls import (
     GaussianBump,
     GroundStateReport,
     Potential,
+    Problem,
     ProjectionError,
     SolverConfig,
     compare_levels,
@@ -141,7 +142,7 @@ class TestProjection:
         # it negative however far sigma shrinks.  (f1) fails: not validated.
         calls = []
         nl = custom_nonlinearity(lambda s: calls.append(1) or 2.0 * s, theta=3.0, p0=3.5)
-        prob = make_problem(grid512, 0.75, nl, Potential.constant(1.0), validate=False)
+        prob = Problem(grid512, 0.75, nl, Potential.constant(1.0))
         vals = positive_field(grid512, np.random.default_rng(67)).values
         level = 2.0 * grid512.dx * float(np.sum(np.maximum(vals, 0.0) ** 2))
         if side == "positive":
@@ -156,6 +157,15 @@ class TestProjection:
         u = Field(prob512.grid, -np.ones(prob512.grid.N))
         with pytest.raises(ProjectionError):
             nehari_project(u, prob512)
+
+    def test_custom_path_rejects_nonpositive_ray_and_zero_norm(self, both_paths):
+        custom = both_paths[1]
+        vals = positive_field(custom.grid, np.random.default_rng(68)).values
+        with pytest.raises(ProjectionError, match="ray has no positive part"):
+            project_ray(-np.abs(vals), 1.0, custom)
+        for Q in (0.0, -1.0):
+            with pytest.raises(AdmissibilityError, match="zero field"):
+                project_ray(vals, Q, custom)
 
     def test_already_on_manifold_is_fixed_point(self, prob512):
         rng = np.random.default_rng(66)
@@ -283,9 +293,9 @@ class TestCompareLevels:
 
 
 class TestContinuitySweep:
-    def test_table_structure_and_monotonicity(self, prob512, flat_potential):
+    def test_table_structure_and_monotonicity(self, prob512):
         eps = [0.4, 0.2, 0.1, 0.05]
-        table = continuity_sweep(flat_potential, eps, prob512, cfg=FAST)
+        table = continuity_sweep(prob512, eps, cfg=FAST)
         assert [r.eps for r in table.rows] == [0.0] + sorted(eps)
         base = table.rows[0]
         assert base.c == pytest.approx(table.c_base, rel=1e-12)

@@ -6,7 +6,9 @@ import pytest
 from fracnls import (
     ConfigurationError,
     HypothesisError,
+    Nonlinearity,
     Potential,
+    Problem,
     custom_nonlinearity,
     make_grid,
     make_problem,
@@ -48,6 +50,21 @@ class TestNonlinearityConstruction:
         nl = custom_nonlinearity(lambda s: s**3, theta=4.0, p0=3.5)
         xi = np.linspace(0.0, 3.0, 7)
         np.testing.assert_allclose(nl.F(xi), xi**4 / 4.0, rtol=1e-13, atol=0.0)
+
+    def test_kind_follows_the_given_form(self):
+        assert power_nonlinearity(3.0).kind == "power"
+        assert custom_nonlinearity(lambda s: s**3, theta=4.0, p0=3.5).kind == "custom"
+
+    @pytest.mark.parametrize("form", [{}, {"p": 3.0, "f_callable": lambda s: s**3}])
+    def test_exactly_one_of_p_and_f(self, form):
+        # neither form, or both (the callable would be silently ignored)
+        with pytest.raises(ConfigurationError, match="exactly one"):
+            Nonlinearity(theta=4.0, p0=3.5, **form)
+
+    def test_custom_without_derivative_has_no_fprime(self):
+        nl = custom_nonlinearity(lambda s: s**3, theta=4.0, p0=3.5)
+        with pytest.raises(ConfigurationError, match="derivative"):
+            nl.fprime(np.ones(3))
 
 
 def _counting(f):
@@ -176,6 +193,19 @@ class TestValidateNonlinearity:
         assert not report.passed
         assert any("f2" in c.name for c in report.failures())
 
+    def test_negative_values_fail_f0_at_the_first_point(self):
+        nl = custom_nonlinearity(lambda s: -s**3, theta=4.0, p0=3.5)
+        (f0,) = [c for c in validate_nonlinearity(nl).checks if c.name == "f0"]
+        assert not f0.passed
+        assert f0.detail == f"f({_XI[0]:.3e}) < 0"
+
+    def test_vanishing_primitive_fails_f2_lower_bound(self):
+        # f = 0 on (0, 1], so F = 0 there and theta F > 0 fails at the first point
+        nl = custom_nonlinearity(lambda s: np.maximum(s - 1.0, 0.0) ** 3, theta=4.0, p0=3.5)
+        (f2,) = [c for c in validate_nonlinearity(nl).checks if c.name == "f2"]
+        assert not f2.passed
+        assert f2.detail == f"theta*F({_XI[0]:.3e}) <= 0"
+
     def test_supercritical_tail_fails_f3(self):
         # f/xi^p0 with p0 = 2.5 grows for f = s^3: (f3) must fail
         nl = custom_nonlinearity(lambda s: s**3, theta=3.0, p0=2.5)
@@ -204,7 +234,7 @@ class TestPotential:
 
     def test_table_length_checked(self):
         g = make_grid(10.0, 64)
-        V = Potential.from_table(np.ones(32), V0=1.0, V_inf=1.0)
+        V = Potential(table=np.ones(32), V0=1.0, V_inf=1.0)
         with pytest.raises(ConfigurationError, match="table"):
             V.on(g)
 
@@ -314,7 +344,7 @@ class TestMakeProblem:
 
     def test_validation_can_be_skipped(self, grid512, well_potential):
         nl = custom_nonlinearity(lambda s: s**2, theta=4.0, p0=3.5)
-        prob = make_problem(grid512, 0.75, nl, well_potential, validate=False)
+        prob = Problem(grid512, 0.75, nl, well_potential)
         assert prob.nonlinearity is nl
 
     def test_alpha_range_enforced(self, grid512, cubic, well_potential):

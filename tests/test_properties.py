@@ -16,11 +16,11 @@ from hypothesis.extra.numpy import arrays
 
 from fracnls import (
     Potential,
+    Problem,
     ProjectionError,
     custom_nonlinearity,
     inner_product_X,
     make_grid,
-    make_problem,
     power_nonlinearity,
     rearrange_values,
 )
@@ -38,12 +38,12 @@ scales = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
 
 
 def power_problem(p):
-    return make_problem(GRID, 0.75, power_nonlinearity(p), FLAT, validate=False)
+    return Problem(GRID, 0.75, power_nonlinearity(p), FLAT)
 
 
 def custom_problem(p):
     nl = custom_nonlinearity(lambda s: s**p, theta=p + 1.0, p0=p + 0.5)
-    return make_problem(GRID, 0.75, nl, FLAT, validate=False)
+    return Problem(GRID, 0.75, nl, FLAT)
 
 
 def ray(prob, seed):

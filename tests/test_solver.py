@@ -19,12 +19,14 @@ from fracnls import (
     Field,
     GaussianBump,
     Potential,
+    Problem,
+    ProjectionError,
     SolverConfig,
     check_nonnegativity,
     compare_c_to_c_infinity,
+    composed_operator,
     default_start,
     evaluate_I,
-    gradient_I,
     ground_state,
     inner_product_X,
     level_c,
@@ -202,6 +204,60 @@ class TestConjugateDescent:
                                       rel=1e-12)
         assert E_new == pytest.approx(evaluate_I(Field(prob.grid, u_new), prob).total, rel=1e-12)
 
+    @staticmethod
+    def _failing_projection(prob, fail_on):
+        """A projection that raises on its ``fail_on``-th call and records
+        every call's ``(v, Q_v)``."""
+        calls = []
+
+        def project(v, Qv):
+            calls.append((v, Qv))
+            if len(calls) == fail_on:
+                raise ProjectionError("no projection on this trial")
+            return project_ray(v, Qv, prob)[:2]
+        return project, calls
+
+    @staticmethod
+    def _start_state(prob):
+        """The projected default start, its preconditioned gradient ``d`` and
+        ``<g, d>_L2``: ``(u, u_hat, Q, E, d, d_hat, gd)``."""
+        u0 = default_start(prob.grid)
+        ray = nehari_project(u0, prob)
+        u, E = ray.sigma_u * u0.values, ray.psi_max
+        uh = np.fft.rfft(u)
+        g = solver._gradient(prob, u, uh)
+        dh = prob.precond * np.fft.rfft(g)
+        d = np.fft.irfft(dh, prob.grid.N)
+        Q = solver._x_product(prob, uh, uh, u, u)
+        return u, uh, Q, E, d, dh, prob.grid.dx * float(g @ d)
+
+    def test_failed_projection_halves_the_step(self, prob512):
+        # the t = 1 trial cannot be projected: the search takes t = 1/2, which
+        # passes the decrease test and, not being t = 1, gets no fitted trial
+        u, uh, Q, E, d, dh, gd = self._start_state(prob512)
+        project, calls = self._failing_projection(prob512, fail_on=1)
+        u_new, _, _, E_new = solver._line_search(prob512, project, u, uh, d, dh, Q, E, gd)
+        assert len(calls) == 2
+        v, Qv = calls[1]
+        np.testing.assert_array_equal(v, u - 0.5 * d)
+        sigma, psi = project_ray(v, Qv, prob512)[:2]
+        np.testing.assert_array_equal(u_new, sigma * v)
+        assert E_new == psi <= E
+
+    def test_failed_fitted_trial_keeps_the_full_step(self, prob512):
+        # a quarter of the preconditioned step: t = 1 passes and the
+        # parabola's minimizer lies past _T_FIT, whose trial cannot be projected
+        u, uh, Q, E, d, dh, gd = self._start_state(prob512)
+        project, calls = self._failing_projection(prob512, fail_on=2)
+        u_new, _, _, E_new = solver._line_search(prob512, project, u, uh, d / 4.0, dh / 4.0,
+                                                 Q, E, gd / 4.0)
+        assert len(calls) == 2
+        v, Qv = calls[0]
+        np.testing.assert_array_equal(v, u - d / 4.0)
+        sigma, psi = project_ray(v, Qv, prob512)[:2]
+        np.testing.assert_array_equal(u_new, sigma * v)
+        assert E_new == psi <= E
+
 
 class TestCarriedState:
     """The loop carries (u, u_hat, Q, E) from the accepted step instead of
@@ -212,7 +268,7 @@ class TestCarriedState:
         # off the centre of a hump the bump drifts to the window edge, which
         # takes over a thousand steps: the longest run of carried updates
         V = Potential.from_expr("1.0 + 1.0/(1.0 + t**2)", V0=1.0, V_inf=1.0)
-        prob = make_problem(make_grid(20.0, 256), 0.75, cubic, V, validate=False)
+        prob = Problem(make_grid(20.0, 256), 0.75, cubic, V)
         seen = []
         real = solver._gradient
 
@@ -296,7 +352,9 @@ class TestScalingOracle:
 class TestArrayCore:
     """The loop's transform-free arrays against the public Field-level
     functions, on random fields; 1e-12 relative allows for float64 sums over
-    N = 512 taken in another order."""
+    N = 512 taken in another order.  The gradient kernel is also the one of
+    ``gradient_I``, so it is checked against the operator applied on its own:
+    ``composed_operator`` plus ``V u - f(u)``."""
 
     def test_pinned_to_field_level_functions(self, prob_well):
         prob, g = prob_well, prob_well.grid
@@ -309,7 +367,8 @@ class TestArrayCore:
                 inner_product_X(Field(g, u), Field(g, u), prob.alpha, prob.V_values), rel=1e-12)
 
             grad = solver._gradient(prob, u, uh)
-            ref = gradient_I(Field(g, u), prob).values
+            ref = (composed_operator(Field(g, u), prob.alpha).values
+                   + prob.V_values * u - prob.nonlinearity.f(u))
             assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
 
             # the direction as the loop forms it, priced from its half spectrum
@@ -371,7 +430,7 @@ class TestGapVerdict:
 
     def test_potential_above_limit_rejected(self, grid512, cubic):
         V = Potential.from_expr("2.0 + 1.0/(1.0 + t**2)", V0=2.0, V_inf=2.0)
-        prob = make_problem(grid512, 0.75, cubic, V, validate=False)
+        prob = Problem(grid512, 0.75, cubic, V)
         with pytest.raises(AdmissibilityError):
             compare_c_to_c_infinity(prob)
 
