@@ -11,10 +11,17 @@ and ``Problem.symbol``.  The gradient is represented as the plain field
 
 whose L2 pairing with any grid test function equals the directional
 derivative of I; g = 0 identifies a weak solution on the discrete space.
-``gradient_I`` wraps ``_gradient``, the array kernel the solver loop calls.
-The convergence criterion ``weak_residual_norm`` is the L2 norm of g scaled
-by the X-norm of u; a true dual norm is not needed for a stopping rule and
-is documented as such.
+``_gradient``, the array kernel the solver loop calls, returns g's half
+spectrum
+
+    g_hat = |w|^(2 alpha) u_hat + rfft(V*u - f(u)),
+
+one ``rfft``, and ``gradient_I`` brings it to physical space with an
+``irfft``.  The convergence criterion ``weak_residual_norm`` is the L2 norm
+of g scaled by the X-norm of u, both taken on the half spectrum of one
+``rfft(u)``: ``||g||_L2^2`` by Parseval, ``Re vdot(g_hat,
+Problem.parseval_weights * g_hat)``, and ``||u||_X^2`` by ``_x_product``.  A
+true dual norm is not needed for a stopping rule and is documented as such.
 
 Along the ray sigma -> sigma*u the energy psi(sigma) = I(sigma*u) rises,
 peaks once, and falls; the peak sigma_u is the unique solution of
@@ -62,7 +69,6 @@ import numpy as np
 from .exceptions import AdmissibilityError, ProjectionError
 from .grid import Field
 from .problem import Problem
-from .spaces import l2_norm, norm_X
 
 __all__ = [
     "evaluate_I",
@@ -99,23 +105,34 @@ def evaluate_I(u: Field, prob: Problem) -> EnergyBreakdown:
     return EnergyBreakdown(kinetic=kinetic, potential_term=potential_term, nonlinear=nonlinear)
 
 
+def _x_product(prob: Problem, uh: np.ndarray, vh: np.ndarray, u: np.ndarray,
+               v: np.ndarray) -> float:
+    """X inner product of u and v from their values and half spectra."""
+    dirichlet = np.vdot(uh, prob.dirichlet_weights * vh).real
+    return float(dirichlet + prob.grid.dx * ((prob.V_values * u) @ v))
+
+
 def _gradient(prob: Problem, u: np.ndarray, uh: np.ndarray) -> np.ndarray:
-    """L2 gradient of the energy at the values u, given u's half spectrum."""
-    lin = np.fft.irfft(prob.symbol * uh, prob.grid.N)
-    return lin + prob.V_values * u - prob.nonlinearity.f(u)
+    """Half spectrum of the L2 gradient of the energy at the values u, given
+    u's half spectrum."""
+    return prob.symbol * uh + np.fft.rfft(prob.V_values * u - prob.nonlinearity.f(u))
 
 
 def gradient_I(u: Field, prob: Problem) -> Field:
     """L2 representative of the derivative of I at u."""
-    return Field(u.grid, _gradient(prob, u.values, np.fft.rfft(u.values)))
+    gh = _gradient(prob, u.values, np.fft.rfft(u.values))
+    return Field(u.grid, np.fft.irfft(gh, u.grid.N))
 
 
 def weak_residual_norm(u: Field, prob: Problem) -> float:
     """Stopping-rule residual ``||gradient||_L2 / ||u||_X``; rejects u = 0."""
-    nx = norm_X(u, prob.alpha, prob.V_values)
-    if nx == 0.0:
+    vals = u.values
+    uh = np.fft.rfft(vals)
+    Q = _x_product(prob, uh, uh, vals, vals)
+    if Q <= 0.0:
         raise AdmissibilityError("residual of the zero field is undefined")
-    return l2_norm(gradient_I(u, prob)) / nx
+    gh = _gradient(prob, vals, uh)
+    return math.sqrt(float(np.vdot(gh, prob.parseval_weights * gh).real) / Q)
 
 
 def _log_secant(k, Q: float, theta: float) -> tuple:

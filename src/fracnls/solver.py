@@ -4,13 +4,18 @@ Each iterate lives on the constraint manifold.  The loop works on arrays,
 with the half spectra of ``numpy.fft.rfft`` (fields are real), and builds a
 ``Field`` only for the returned state.  The loop state is ``(u, u_hat, Q,
 E)``: the iterate, its half spectrum, its squared X-norm and its energy.
-One step costs three real FFTs:
+One step costs two real FFTs, an ``rfft`` for the gradient and an ``irfft``
+for the preconditioned step; the gradient stays on its half spectrum, and
+every L2 pairing of the step is taken there by Parseval, ``<g, v>_L2 = Re
+vdot(gw, v_hat)`` with ``gw = Problem.parseval_weights * g_hat`` formed once
+per step:
 
-  1. the L2 gradient of the energy is ``g = irfft(|w|^(2 alpha) u_hat) + V u
-     - f(u)``, and the loop's residual is ``||g||_L2 / sqrt(Q)``.  When it
-     reaches grad_tol, the reported residual (``energy.weak_residual_norm``,
-     which differs from the loop's at roundoff, about 1e-13) must confirm
-     it before the solve stops as converged; otherwise the loop goes on.
+  1. the L2 gradient of the energy has the half spectrum ``g_hat =
+     |w|^(2 alpha) u_hat + rfft(V u - f(u))``, and the loop's residual is
+     ``sqrt(<g, g>_L2 / Q)``.  When it reaches grad_tol, the reported
+     residual (``energy.weak_residual_norm``, which differs from the loop's
+     at roundoff, about 1e-13) must confirm it before the solve stops as
+     converged; otherwise the loop goes on.
      ``u_hat`` and ``Q`` are carried from the accepted step, not recomputed:
      the step is ``u' = sigma (u - t p)``, so ``u_hat' = sigma (u_hat - t
      p_hat)`` and ``Q' = sigma^2 Q(u - t p)``, the quadratic the trial was
@@ -18,13 +23,15 @@ One step costs three real FFTs:
      product.  E and Q then come from the same numbers, so the
      sufficient-decrease test never compares energies priced from two
      roundings of Q;
-  2. precondition in frequency space, ``d_hat = rfft(g) / (|w|^(2 alpha) +
+  2. precondition in frequency space, ``d_hat = g_hat / (|w|^(2 alpha) +
      kappa)`` and ``d = irfft(d_hat)``, with kappa = max V, a
      positive-definite approximation of the energy Hessian's linear part;
   3. step along u - t*p, with p a preconditioned Polak-Ribiere+ conjugate
      direction: ``p = d + beta p_prev`` with ``beta = max(0, <g - g_prev,
      d>_L2 / <g_prev, d_prev>_L2)``, restarted at p = d whenever
-     ``<g, p>_L2 <= 0``.  Plain descent along d moves a bump sitting off the
+     ``<g, p>_L2 <= 0``; the pairings ``<g, d>``, ``<g - g_prev, d>`` and
+     ``<g, p>`` are ``vdot``s of ``gw`` and ``gw_prev`` with ``d_hat`` and
+     ``p_hat``.  Plain descent along d moves a bump sitting off the
      centre of a well by about 0.002 per iteration (the slow translation
      mode); the conjugate term carries that motion from step to step.  p's
      half spectrum is the same combination, ``dh + beta ph_prev``, so no
@@ -57,14 +64,18 @@ per trial projection; the reported energy keeps the float power.
 
 The loop's gradient is ``energy._gradient``, the kernel of
 ``energy.gradient_I``.  The returned level, energy and residual are computed
-by the Field-level functions of ``energy``.
+by the Field-level functions of ``energy``, the residual from a fresh
+transform of u, not the carried ``u_hat``.  A converged solve takes ``2 it +
+5`` real FFTs: ``rfft(u)`` at the start, two per step, the gradient at the
+stopping iterate, and the reported residual's two and energy's one.
 
 Non-convergence (iteration budget exhausted or a fully collapsed line
 search) is a reported state, never an exception: comparison sweeps must be
 able to aggregate partial results.  ``GroundStateReport.stop_reason`` says
-which of the loop's three exits was taken, and ``projections`` and
+which of the loop's three exits was taken, ``projections`` and
 ``mismatch_evals`` count the ray projections and the root-finder evaluations
-they took.
+they took, ``line_search_trials`` the trial steps priced and ``fft_calls``
+the real FFTs.
 """
 
 from __future__ import annotations
@@ -76,7 +87,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .energy import EnergyBreakdown, _gradient, evaluate_I, project_ray, weak_residual_norm
+from .energy import (EnergyBreakdown, _gradient, _x_product, evaluate_I, project_ray,
+                     weak_residual_norm)
 from .exceptions import AdmissibilityError, ConfigurationError, ProjectionError
 from .grid import Field, Grid
 from .problem import CheckResult, Problem
@@ -106,6 +118,10 @@ _T_MIN = 1e-16
 # an accepted t = 1 is followed by one trial at the minimizer t* of the
 # parabola through E, the slope and the energy at t = 1, when t* exceeds this
 _T_FIT = 1.5
+# the real FFTs of one weak_residual_norm (rfft(u) and _gradient's rfft) and
+# of evaluate_I (rfft(u)), for GroundStateReport.fft_calls
+_RESIDUAL_FFTS = 2
+_ENERGY_FFTS = 1
 
 
 @dataclass(frozen=True)
@@ -160,6 +176,11 @@ class GroundStateReport:
     # the mismatch evaluations they took (0 for the power closed form)
     projections: int
     mismatch_evals: int
+    # trial steps the line searches priced, those whose projection failed
+    # included, and the real FFTs the solve took, the returned energy's and
+    # residual's included
+    line_search_trials: int
+    fft_calls: int
 
     @property
     def c(self) -> float:
@@ -222,31 +243,25 @@ def _as_start_field(grid: Grid, start: Start) -> Field:
     return _bump_field(grid, start)
 
 
-def _x_product(prob: Problem, uh: np.ndarray, vh: np.ndarray, u: np.ndarray,
-               v: np.ndarray) -> float:
-    """X inner product of u and v from their values and half spectra."""
-    dirichlet = np.vdot(uh, prob.dirichlet_weights * vh).real
-    return float(dirichlet + prob.grid.dx * ((prob.V_values * u) @ v))
-
-
-def _direction(dx: float, g: np.ndarray, d: np.ndarray, dh: np.ndarray, gd: float,
-               prev) -> tuple:
+def _direction(gw: np.ndarray, d: np.ndarray, dh: np.ndarray, gd: float, prev) -> tuple:
     """Preconditioned Polak-Ribiere+ direction, its half spectrum and ``<g, p>_L2``.
 
-    ``d`` is the preconditioned gradient ``g``, ``gd = <g, d>_L2``, and
-    ``prev`` the last step's ``(g, gd, p, p_hat)``, or None.
+    ``gw`` is the gradient's half spectrum times the Parseval weights, so
+    ``<g, v>_L2 = Re vdot(gw, v_hat)``; ``d`` is the preconditioned gradient,
+    ``dh`` its half spectrum, ``gd = <g, d>_L2``, and ``prev`` the last
+    step's ``(gw, gd, p, p_hat)``, or None.
     ``p = d + beta p_prev`` with ``beta = max(0, <g - g_prev, d> / gd_prev)``,
     restarted at ``p = d`` when it is not a descent direction, ``<g, p> <= 0``.
     """
     if prev is None:
         return d, dh, gd
-    g_prev, gd_prev, p_prev, ph_prev = prev
-    beta = max(0.0, dx * float((g - g_prev) @ d) / gd_prev)
-    p = d + beta * p_prev
-    gp = dx * float(g @ p)
+    gw_prev, gd_prev, p_prev, ph_prev = prev
+    beta = max(0.0, float(np.vdot(gw - gw_prev, dh).real) / gd_prev)
+    ph = dh + beta * ph_prev
+    gp = float(np.vdot(gw, ph).real)
     if gp <= 0.0:
         return d, dh, gd
-    return p, dh + beta * ph_prev, gp
+    return d + beta * p_prev, ph, gp
 
 
 def _line_search(prob: Problem, project, u: np.ndarray, uh: np.ndarray, p: np.ndarray,
@@ -316,9 +331,11 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None) -> GroundSta
     u0 = u0 / top
 
     grid = prob.grid
-    tally = [0, 0]  # projections, mismatch evaluations
+    # projections returned, mismatch evaluations, projections attempted
+    tally = [0, 0, 0]
 
     def project(v: np.ndarray, Qv: float) -> tuple:
+        tally[2] += 1
         sigma, psi, _, evals = project_ray(v, Qv, prob)
         tally[0] += 1
         tally[1] += evals
@@ -327,32 +344,38 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None) -> GroundSta
     # the loop state (u, u_hat, Q, E): the start projected onto the manifold;
     # every accepted step updates all four without a transform of u
     u0h = np.fft.rfft(u0)
+    ffts = 1  # real FFTs taken, for GroundStateReport.fft_calls
     Q0 = _x_product(prob, u0h, u0h, u0, u0)
     sigma, E = project(u0, Q0)
     u, uh, Q = sigma * u0, sigma * u0h, sigma * sigma * Q0
 
     iterations = 0
     stop_reason = "budget"
-    prev = None  # (g, <g, d>, p, p_hat) of the last step, for the conjugate direction
+    prev = None  # (gw, <g, d>, p, p_hat) of the last step, for the conjugate direction
 
     for it in range(cfg.max_iters + 1):
-        g = _gradient(prob, u, uh)
+        gh = _gradient(prob, u, uh)
+        ffts += 1  # _gradient's rfft
+        # <g, v>_L2 = Re vdot(gw, v_hat) for every pairing of the step
+        gw = prob.parseval_weights * gh
         res = None  # the reported residual of u, once computed
-        if np.sqrt(grid.dx * (g @ g) / Q) <= cfg.grad_tol:
+        if math.sqrt(float(np.vdot(gw, gh).real) / Q) <= cfg.grad_tol:
             # the loop's residual differs from the reported one at roundoff;
             # only the reported one may end the solve as converged
             res = weak_residual_norm(Field(grid, u), prob)
+            ffts += _RESIDUAL_FFTS
             if res <= cfg.grad_tol:
                 stop_reason = "converged"
                 break
         if it == cfg.max_iters:
             break
 
-        dh = prob.precond * np.fft.rfft(g)
+        dh = prob.precond * gh
         d = np.fft.irfft(dh, grid.N)
-        gd = grid.dx * float(g @ d)
-        p, ph, slope = _direction(grid.dx, g, d, dh, gd, prev)
-        prev = (g, gd, p, ph)
+        ffts += 1  # the step's irfft
+        gd = float(np.vdot(gw, dh).real)
+        p, ph, slope = _direction(gw, d, dh, gd, prev)
+        prev = (gw, gd, p, ph)
         step = _line_search(prob, project, u, uh, p, ph, Q, E, slope)
         if step is None:
             stop_reason = "collapsed"
@@ -363,7 +386,12 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None) -> GroundSta
     u = Field(grid, u)
     if res is None:
         res = weak_residual_norm(u, prob)
-    return GroundStateReport(u, res, iterations, stop_reason, evaluate_I(u, prob), *tally)
+        ffts += _RESIDUAL_FFTS
+    projections, mismatch_evals, attempts = tally
+    return GroundStateReport(u, res, iterations, stop_reason, evaluate_I(u, prob),
+                             projections, mismatch_evals,
+                             line_search_trials=attempts - 1,  # all but the start's
+                             fft_calls=ffts + _ENERGY_FFTS)
 
 
 def check_nonnegativity(report: GroundStateReport, tol: float = 1e-6) -> CheckResult:

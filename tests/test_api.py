@@ -92,10 +92,10 @@ def test_removed_name_not_importable(name):
 
 def test_report_stores_only_what_the_descent_produced():
     # c, converged and the two diagnostics derive from the first five fields;
-    # the last two count the descent's ray projections
+    # the last four count the descent's ray projections, trial steps and FFTs
     fields = [f.name for f in dataclasses.fields(fracnls.GroundStateReport)]
     assert fields == ["u", "residual", "iterations", "stop_reason", "energy",
-                      "projections", "mismatch_evals"]
+                      "projections", "mismatch_evals", "line_search_trials", "fft_calls"]
 
 
 def test_package_imports_form_a_dag():

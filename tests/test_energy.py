@@ -12,11 +12,15 @@ from fracnls import (
     AdmissibilityError,
     Field,
     Potential,
+    custom_nonlinearity,
     evaluate_I,
     gradient_I,
+    ground_state,
     integrate,
+    l2_norm,
     make_problem,
     nehari_project,
+    norm_X,
     weak_residual_norm,
 )
 
@@ -117,6 +121,33 @@ class TestGradient:
         u = positive_field(prob512.grid, rng)
         r = weak_residual_norm(u, prob512)
         assert r > 0.0
+
+    def test_residual_by_parseval_matches_physical_side(self, prob512, prob_canonical,
+                                                        prob_well, well_potential):
+        # the residual pairs the gradient on its half spectrum; the oracle
+        # takes the L2 norm of the physical gradient and the X-norm by
+        # inner_product_X, on random fields, with and without the unpaired
+        # Nyquist mode (whose Parseval weight is 1, not 2), and on converged
+        # states, whose gradient is the small difference of large terms
+        def physical(u, prob):
+            return l2_norm(gradient_I(u, prob)) / norm_X(u, prob.alpha, prob.V_values)
+
+        rng = np.random.default_rng(71)
+        for prob in (prob512, prob_well):
+            g = prob.grid
+            nyquist = 0.1 * (-1.0) ** np.arange(g.N)
+            for _ in range(5):
+                for u in (random_field(g, rng), positive_field(g, rng)):
+                    for v in (u, Field(g, u.values + nyquist)):
+                        assert weak_residual_norm(v, prob) == pytest.approx(physical(v, prob),
+                                                                            rel=1e-13)
+        custom = make_problem(prob_canonical.grid, 0.75,
+                              custom_nonlinearity(lambda s: s**3 + s**2, theta=3.0, p0=3.5),
+                              well_potential)
+        for prob in (prob_canonical, prob_well, custom):
+            rep = ground_state(prob)
+            assert rep.converged
+            assert rep.residual == pytest.approx(physical(rep.u, prob), rel=1e-13)
 
     def test_residual_rejects_zero_field(self, prob512):
         with pytest.raises(AdmissibilityError):

@@ -61,6 +61,12 @@ class TestNonlinearityConstruction:
         with pytest.raises(ConfigurationError, match="exactly one"):
             Nonlinearity(theta=4.0, p0=3.5, **form)
 
+    def test_power_takes_no_derivative_callable(self):
+        # the power derivative is the closed form, which a callable would be
+        # silently ignored in favour of
+        with pytest.raises(ConfigurationError, match="fprime_callable"):
+            Nonlinearity(theta=4.0, p0=3.5, p=3.0, fprime_callable=lambda s: 0 * s)
+
     def test_custom_without_derivative_has_no_fprime(self):
         nl = custom_nonlinearity(lambda s: s**3, theta=4.0, p0=3.5)
         with pytest.raises(ConfigurationError, match="derivative"):
@@ -198,6 +204,14 @@ class TestValidateNonlinearity:
         (f0,) = [c for c in validate_nonlinearity(nl).checks if c.name == "f0"]
         assert not f0.passed
         assert f0.detail == f"f({_XI[0]:.3e}) < 0"
+
+    def test_f_is_extended_by_zero_below_the_axis(self):
+        # the callable sees only max(xi, 0), so a term alive on xi < 0 never
+        # reaches f and (f0) holds by construction
+        nl = custom_nonlinearity(lambda s: s**3 + (s < 0) * 1.0, theta=4.0, p0=3.5)
+        assert nl.f(np.array([-1.0]))[0] == 0.0
+        (f0,) = [c for c in validate_nonlinearity(nl).checks if c.name == "f0"]
+        assert f0.passed
 
     def test_vanishing_primitive_fails_f2_lower_bound(self):
         # f = 0 on (0, 1], so F = 0 there and theta F > 0 fails at the first point

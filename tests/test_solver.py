@@ -162,22 +162,58 @@ class TestConjugateDescent:
         assert far.iterations < 300
         assert far.c == pytest.approx(centred.c, rel=1e-9)
 
-    def test_three_ffts_per_iteration(self, prob_canonical, monkeypatch):
-        # a converged start pays the start-up and return transforms and takes
-        # no step, so the difference counts the transforms of the steps alone:
-        # the gradient's irfft and the preconditioner's rfft and irfft, with
-        # u's half spectrum carried from step to step
+    @staticmethod
+    def _count_ffts(monkeypatch) -> list:
+        """Patch the real transforms to append to the returned list."""
         calls = []
         for name in ("rfft", "irfft"):
             real = getattr(np.fft, name)
             monkeypatch.setattr(np.fft, name,
                                 lambda *a, _f=real, **k: calls.append(1) or _f(*a, **k))
+        return calls
+
+    def test_two_ffts_per_iteration(self, prob_canonical, monkeypatch):
+        # a converged start pays the start-up and return transforms and takes
+        # no step, so the difference counts the transforms of the steps alone:
+        # the gradient's rfft and the preconditioned step's irfft, with u's
+        # half spectrum carried and the gradient kept on its half spectrum
+        calls = self._count_ffts(monkeypatch)
         rep = ground_state(prob_canonical)
         per_solve = len(calls)
         calls.clear()
         again = ground_state(prob_canonical, SolverConfig(start=rep.u))
         assert again.iterations == 0 and rep.iterations > 0
-        assert per_solve - len(calls) == 3 * rep.iterations
+        assert per_solve - len(calls) == 2 * rep.iterations
+
+    def test_fft_calls_counted(self, prob_canonical, monkeypatch):
+        # the start's rfft, two per step, the stopping iterate's gradient, the
+        # reported residual's two and the energy's one
+        calls = self._count_ffts(monkeypatch)
+        rep = ground_state(prob_canonical)
+        assert rep.converged and rep.iterations > 0
+        assert rep.fft_calls == 2 * rep.iterations + 5 == len(calls)
+        calls.clear()
+        short = ground_state(prob_canonical, SolverConfig(max_iters=1))
+        assert not short.converged and short.fft_calls == len(calls)
+
+    def test_line_search_trials_counted(self, prob_canonical, monkeypatch):
+        # every ray projection but the start's prices a trial; the first
+        # trial's projection fails, so it counts as a trial and not as a
+        # projection
+        calls = []
+        real = solver.project_ray
+
+        def first_trial_fails(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ProjectionError("no projection on this trial")
+            return real(*args)
+
+        monkeypatch.setattr(solver, "project_ray", first_trial_fails)
+        rep = ground_state(prob_canonical)
+        assert rep.converged and rep.line_search_trials >= rep.iterations > 0
+        assert rep.line_search_trials == len(calls) - 1
+        assert rep.projections == len(calls) - 1
 
     def test_restart_when_not_descent(self, prob512):
         # a crafted last step with beta = <g, d> and p_prev = -2 d / beta makes
@@ -187,12 +223,14 @@ class TestConjugateDescent:
         ray = nehari_project(u0, prob)
         u, E = ray.sigma_u * u0.values, ray.psi_max
         uh = np.fft.rfft(u)
-        g = solver._gradient(prob, u, uh)
-        dh = prob.precond * np.fft.rfft(g)
+        gh = solver._gradient(prob, u, uh)
+        gw = prob.parseval_weights * gh
+        dh = prob.precond * gh
         d = np.fft.irfft(dh, prob.grid.N)
-        gd = dx * float(np.sum(g * d))
-        prev = (np.zeros_like(g), 1.0, -2.0 * d / gd, -2.0 * dh / gd)
-        p, ph, slope = solver._direction(dx, g, d, dh, gd, prev)
+        gd = float(np.vdot(gw, dh).real)
+        assert gd == pytest.approx(dx * float(np.fft.irfft(gh, prob.grid.N) @ d), rel=1e-12)
+        prev = (np.zeros_like(gw), 1.0, -2.0 * d / gd, -2.0 * dh / gd)
+        p, ph, slope = solver._direction(gw, d, dh, gd, prev)
         assert p is d and ph is dh and slope == gd > 0.0
         Q = solver._x_product(prob, uh, uh, u, u)
         project = lambda v, Qv: project_ray(v, Qv, prob)[:2]  # noqa: E731
@@ -225,11 +263,11 @@ class TestConjugateDescent:
         ray = nehari_project(u0, prob)
         u, E = ray.sigma_u * u0.values, ray.psi_max
         uh = np.fft.rfft(u)
-        g = solver._gradient(prob, u, uh)
-        dh = prob.precond * np.fft.rfft(g)
+        gh = solver._gradient(prob, u, uh)
+        dh = prob.precond * gh
         d = np.fft.irfft(dh, prob.grid.N)
         Q = solver._x_product(prob, uh, uh, u, u)
-        return u, uh, Q, E, d, dh, prob.grid.dx * float(g @ d)
+        return u, uh, Q, E, d, dh, float(np.vdot(prob.parseval_weights * gh, dh).real)
 
     def test_failed_projection_halves_the_step(self, prob512):
         # the t = 1 trial cannot be projected: the search takes t = 1/2, which
@@ -366,7 +404,7 @@ class TestArrayCore:
             assert Q == pytest.approx(
                 inner_product_X(Field(g, u), Field(g, u), prob.alpha, prob.V_values), rel=1e-12)
 
-            grad = solver._gradient(prob, u, uh)
+            grad = np.fft.irfft(solver._gradient(prob, u, uh), g.N)
             ref = (composed_operator(Field(g, u), prob.alpha).values
                    + prob.V_values * u - prob.nonlinearity.f(u))
             assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
