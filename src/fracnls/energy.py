@@ -47,15 +47,16 @@ For any other nonlinearity the peak is the root of the mismatch
 
 which is single, as k increases strictly under the f-hypotheses.  f
 vanishes on xi <= 0 (f0), so k is a dot product over the ray's positive
-entries, taken once per projection.  The root is found by secant steps on
-log(k/Q) against log sigma, from sigma = 1 and the pure-power guess
+entries, taken once per projection, and the peak energy hands only those
+entries, times sigma_u, to ``Nonlinearity.F``.  The root is found by secant
+steps on log(k/Q) against log sigma, from sigma = 1 and the pure-power guess
 
     log sigma = log(Q / k(1)) / (theta - 2),
 
-which is exact for f(xi) = xi_+^p with theta = p + 1.  On a ray near the
-manifold, four or five evaluations of k reach a step of 4 machine epsilons
-relative.  Every evaluation tightens a sign bracket of the root, and a step
-that leaves it falls back inside.
+which is exact for f(xi) = xi_+^p with theta = p + 1, and then through the
+last two evaluations.  On a ray near the manifold, four or five evaluations
+of k reach a step of 4 machine epsilons relative.  Every evaluation tightens
+a sign bracket of the root, and a step that leaves it falls back inside.
 """
 
 from __future__ import annotations
@@ -141,13 +142,15 @@ def _log_secant(k, Q: float, theta: float) -> tuple:
     with ``k(lo) <= Q <= k(hi)``.
 
     The first step, from sigma = 1, takes the slope ``theta - 2`` of a pure
-    power, for which it is exact; no later step takes a smaller slope.  Every
-    evaluated point tightens the bracket, and a step that leaves it bisects
-    it in log sigma.  While one end is missing, a step goes at least
-    ``reach`` past the known end, and ``reach`` doubles with each such step,
-    so a root approached from one side is still bracketed.  Where ``h`` has
-    no finite value, or the step is past the float range, sigma doubles or
-    halves.
+    power, for which it is exact; every later step the secant slope through
+    the last two points, so it converges superlinearly also where the local
+    slope of ``h`` is not ``theta - 2``.  Every evaluated point tightens the
+    bracket, and a step that leaves it bisects it in log sigma.  While one
+    end is missing, a step goes at least ``reach`` past the known end, and
+    ``reach`` doubles with each such step, so a root approached from one side
+    is still bracketed.  Where ``h`` has no finite value, the secant slope is
+    not positive, or the step is past the float range, sigma doubles or
+    halves, or the bracket is bisected.
     """
     big = math.log(sys.float_info.max)  # the largest step exp can take
     lo, hi = 0.0, math.inf
@@ -168,11 +171,10 @@ def _log_secant(k, Q: float, theta: float) -> tuple:
         step = math.nan
         if 0.0 < r < math.inf:
             h = math.log(r)
-            slope = theta - 2.0
-            if prev is not None:
-                slope = max(slope, (h - prev[1]) / math.log(sigma / prev[0]))
+            slope = theta - 2.0 if prev is None else (h - prev[1]) / math.log(sigma / prev[0])
             prev = sigma, h
-            step = -h / slope
+            if slope > 0.0:
+                step = -h / slope
         else:
             prev = None
         if 0.0 < lo and hi < math.inf:
@@ -226,8 +228,8 @@ def project_ray(vals: np.ndarray, Q: float, prob: Problem) -> tuple:
         sigma = (Q / S) ** (1.0 / (p - 1.0))
         return sigma, (0.5 - 1.0 / (p + 1.0)) * sigma * sigma * Q, (sigma, sigma), 0
 
-    # f vanishes on xi <= 0 (f0), so integral f(sigma u) u / sigma needs only u's positive part
+    # f and F vanish on xi <= 0 (f0), so k and the peak energy need only u's positive part
     f = nl.f_callable
     sigma, bracket, evals = _log_secant(lambda s: dx * float(f(s * pos) @ pos) / s, Q, nl.theta)
-    psi = 0.5 * sigma * sigma * Q - dx * float(np.sum(nl.F(sigma * vals)))
+    psi = 0.5 * sigma * sigma * Q - dx * float(np.sum(nl.F(sigma * pos)))
     return sigma, psi, bracket, evals

@@ -468,6 +468,25 @@ class TestConfigErrors:
         assert err.count("error:") == 1 and err.startswith("error: ")
         assert "out of range" in err
 
+    @pytest.mark.parametrize("terms", [400, 200_000])
+    def test_deeply_nested_expression_is_one_error_line(self, tmp_path, capsys, terms):
+        # ast.parse and ast.unparse recurse once per term of a sum, past Python's limit
+        cfg = json.loads(json.dumps(BUMP))
+        cfg["potential"]["expr"] = " + ".join(["t"] * terms)
+        code, _, err = main_in_process(capsys, "ground-state", cfg, tmp_path)
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "nested too deeply" in lines[0] and "Traceback" not in err
+
+    def test_three_hundred_term_expression_solves(self, tmp_path):
+        # the well plus 299 zero terms: the same potential, nested 300 deep
+        cfg = dict(WELL, potential=dict(WELL["potential"], expr=WELL_EXPR + " + 0.0 * t" * 299))
+        r = run_cli("ground-state", "--config", write_config(tmp_path / "cfg.json", cfg),
+                    "--out", str(tmp_path / "out"))
+        assert r.returncode == 0, r.stderr
+        assert (tmp_path / "out" / "well_0.75_256.json").is_file()
+
     @pytest.mark.parametrize("command,section,key,value", [
         ("ground-state", None, "N", "abc"),
         ("ground-state", "solver", "max_iters", "many"),

@@ -153,6 +153,22 @@ class TestProjection:
             project_ray(vals, Q, prob)
         assert 0 < len(calls) <= _MAX_BRACKET_STEPS
 
+    def test_theta_above_the_local_slope_converges_fast(self, grid512):
+        # k(sigma) = sigma^2 int u^4 + 5 sigma int u^3 has a log-slope between 1
+        # and 2: a step of slope theta - 2 = 2 undershoots the root, so only
+        # secant slopes reach it fast.  (f2) fails for theta = 4: unchecked
+        nl = custom_nonlinearity(lambda s: s**3 + 5.0 * s**2, theta=4.0, p0=3.5)
+        prob = Problem(grid512, 0.75, nl, Potential.constant(1.0))
+        rng = np.random.default_rng(69)
+        for _ in range(200):
+            u = positive_field(grid512, rng)
+            Q = inner_product_X(u, u, prob.alpha, prob.V_values)
+            sigma, _, (lo, hi), evals = project_ray(u.values, Q, prob)
+            assert evals <= 12
+            assert lo <= sigma <= hi
+            v = sigma * u.values
+            assert grid512.dx * float(nl.f(v) @ v) == pytest.approx(sigma * sigma * Q, rel=1e-12)
+
     def test_nonpositive_start_rejected(self, prob512):
         u = Field(prob512.grid, -np.ones(prob512.grid.N))
         with pytest.raises(ProjectionError):

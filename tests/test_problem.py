@@ -17,7 +17,7 @@ from fracnls import (
     validate_nonlinearity,
     validate_potential,
 )
-from fracnls.problem import _XI, _gauss_legendre
+from fracnls.problem import _NARROW, _XI, _gauss_legendre
 
 from conftest import WELL_EXPR
 
@@ -138,7 +138,7 @@ class TestCustomPrimitive:
         distinct, back = np.unique(xi, return_inverse=True)
         assert distinct.size == N // 2 + 1
         got = nl.F(xi)
-        assert 0 < f.points <= 8 * distinct.size + 64
+        assert 0 < f.points <= 4 * distinct.size + 64
         assert np.array_equal(got, nl.F(distinct)[back])
         # nonpositive entries get exactly 0 and leave the positive ones as they were
         mixed = np.concatenate((xi, -xi, [0.0, -0.0])).reshape(2, N + 1)
@@ -158,13 +158,36 @@ class TestCustomPrimitive:
         nl = custom_nonlinearity(lambda s: s**2.5, theta=3.5, p0=3.0)
         assert validate_nonlinearity(nl).passed
 
-    @pytest.mark.parametrize("n", [64, 8])
+    @pytest.mark.parametrize("n", [64, 8, 4])
     def test_rules_are_legendre_on_the_unit_interval(self, n):
         # built on first use; the same arrays, bit for bit, as leggauss mapped to [0, 1]
         nodes, weights = np.polynomial.legendre.leggauss(n)
         s, w = _gauss_legendre(n)
         assert np.array_equal(s, 0.5 * (nodes + 1.0))
         assert np.array_equal(w, 0.5 * weights)
+
+    @pytest.mark.parametrize("q", [1.5, 2.5, 4.7, 6.5])
+    @pytest.mark.parametrize("r", [_NARROW * (1.0 - 1e-6), _NARROW * (1.0 + 1e-6), 0.2],
+                             ids=["narrow", "coarse", "coarse-fifth"])
+    def test_one_gap_either_side_of_the_narrow_bound(self, q, r):
+        # the gap [a, a (1 + r)] takes 4 nodes below the bound and 8 above it;
+        # 4 nodes at r = 0.2, or 3 at r = 1/16, miss by 1e-13
+        nl = custom_nonlinearity(lambda s: s**q, theta=2.2, p0=7.0)
+        a = 0.7
+        b = a * (1.0 + r)
+        Fa, Fb = nl.F(np.array([a, b]))
+        # F(a) carries the 64-node rule's error on [0, a], which the difference drops
+        exact = a ** (q + 1.0) * np.expm1((q + 1.0) * np.log1p((b - a) / a)) / (q + 1.0)
+        assert Fb - Fa == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    def test_four_points_per_narrow_gap(self):
+        f = _counting(lambda s: s**3 + s**2)
+        nl = custom_nonlinearity(f, theta=3.0, p0=3.5)
+        hi = np.sort(self._PROFILE[self._PROFILE > 0.0])
+        lo = np.concatenate(([0.0], hi[:-1]))
+        coarse = np.count_nonzero((hi - lo)[1:] > lo[1:] / 16.0)
+        nl.F(self._PROFILE)
+        assert 0 < f.points <= 4 * hi.size + 64 + 8 * coarse
 
     def test_eight_points_per_gap(self):
         f = _counting(lambda s: s**3 + s**2)
