@@ -1,5 +1,8 @@
 """Command line driver: solve, sweep, verify, rearrange.
 
+``ground-state`` and ``sweep`` take ``c`` from ``nehari.level_c``; only the
+``--refine`` solves call ``solver.ground_state``, from the solved state.
+
 Exit codes: 0 success, 1 configuration or validation error, 2 numerical
 non-convergence of any solve a report depends on.  Scalar reports go to JSON
 with a fixed key order, tables and profiles to CSV with floats printed at 17
@@ -26,7 +29,7 @@ import numpy as np
 from . import __version__
 from .exceptions import AdmissibilityError, ConfigurationError, HypothesisError, ProjectionError
 from .grid import Field, embed_field, make_grid, refine_field
-from .nehari import level_c_infinity
+from .nehari import level_c, level_c_infinity
 from .problem import (NONLINEARITY_KEYS, Problem, config_number, config_section,
                       problem_from_config)
 from .rearrange import polya_szego_check, rearrange
@@ -122,25 +125,25 @@ def _load_config(path: str) -> tuple:
     return cfg, _digest(raw)
 
 
-def _solver_config(cfg: dict) -> SolverConfig:
+def _solver_config(cfg: dict) -> tuple:
+    """The config's solver settings and its start bump."""
     s = config_section(cfg, "solver", ("max_iters", "grad_tol", "start"))
     start_cfg = config_section(s, "start", ("kind", "center", "width", "amplitude"), "solver.")
     if start_cfg.get("kind", "gaussian_bump") != "gaussian_bump":
         raise ConfigurationError("config files support the gaussian_bump start only")
-    start = GaussianBump()
+    bump = GaussianBump()
     for k in ("center", "width", "amplitude"):
         if k in start_cfg:
             key = "solver.start." + k
             value = config_number(start_cfg[k], key)
             try:
-                start = replace(start, **{k: value})
+                bump = replace(bump, **{k: value})
             except ConfigurationError as e:  # a non-finite value, or a width <= 0
                 raise ConfigurationError(f"config key {key!r}: {e}") from None
     return SolverConfig(
         max_iters=config_number(s.get("max_iters", 5000), "solver.max_iters", int),
         grad_tol=config_number(s.get("grad_tol", 1e-6), "solver.grad_tol"),
-        start=start,
-    )
+    ), bump
 
 
 # ------------------------------------------------------------------ solving
@@ -160,13 +163,14 @@ def _c_infinity(prob: Problem, cfg: SolverConfig, report: GroundStateReport) -> 
     return inf.c, inf.converged
 
 
-def _run_point(prob: Problem, scfg: SolverConfig, refine: bool) -> tuple:
-    """Solve for c and c_inf; with refine, re-solve at 2N (same window) and at
-    the doubled window with matched spacing, recording both relative drifts
-    of c.  Returns the report, the record of every per-point value the
-    outputs write, and the names of the auxiliary solves that did not
-    converge."""
-    report = ground_state(prob, scfg)
+def _run_point(prob: Problem, scfg: SolverConfig, bump: GaussianBump, refine: bool) -> tuple:
+    """Solve for c and c_inf by ``level_c`` from the start ``bump``; with
+    refine, re-solve by ``ground_state`` at 2N (same window) and at the
+    doubled window with matched spacing, each from the solved state, and
+    record both relative drifts of c.  Returns the report, the record of
+    every per-point value the outputs write, and the names of the auxiliary
+    solves that did not converge."""
+    report = level_c(prob, [bump.on(prob.grid)], scfg)
     c_inf, inf_converged = _c_infinity(prob, scfg, report)
     stalled = [] if inf_converged else ["c_inf"]
     record = dict(c=report.c, c_inf=c_inf, residual=report.residual,
@@ -183,7 +187,7 @@ def _run_point(prob: Problem, scfg: SolverConfig, refine: bool) -> tuple:
             ("refinement_drift", "2N refinement", refine_field(report.u, 2)),
             ("truncation_err", "doubled-window", embed_field(report.u, wide_grid)),
         ):
-            aux = ground_state(prob.on_grid(start.grid), replace(scfg, start=start))
+            aux = ground_state(prob.on_grid(start.grid), scfg, start)
             record[key] = abs(aux.c - report.c) / abs(report.c)
             if not aux.converged:
                 stalled.append(name)
@@ -209,7 +213,7 @@ def cmd_ground_state(args) -> int:
     out_dir, manifest = _output(args, digest)
 
     prob = problem_from_config(cfg)
-    report, record, stalled = _run_point(prob, _solver_config(cfg), args.refine)
+    report, record, stalled = _run_point(prob, *_solver_config(cfg), args.refine)
 
     tag = str(cfg.get("tag", "ground_state"))
     base = f"{tag}_{prob.alpha:g}_{prob.grid.N}"
@@ -266,7 +270,7 @@ def _sweep_point(task) -> dict:
     if eps != 0.0:
         prob = prob.with_potential(prob.potential.shifted(eps))
     try:
-        _, record, _ = _run_point(prob, _solver_config(cfg), refine)
+        _, record, _ = _run_point(prob, *_solver_config(cfg), refine)
     except (AdmissibilityError, ProjectionError) as e:
         record = dict.fromkeys(_SWEEP_COLUMNS, math.nan)
         record.update(iterations=0, converged=False, status=f"error:{type(e).__name__}")
@@ -422,13 +426,11 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
+        if args.command in ("ground-state", "sweep") and not args.config:
+            raise ConfigurationError(f"{args.command} needs --config PATH")
         if args.command == "ground-state":
-            if not args.config:
-                raise ConfigurationError("ground-state needs --config PATH")
             return cmd_ground_state(args)
         if args.command == "sweep":
-            if not args.config:
-                raise ConfigurationError("sweep needs --config PATH")
             return cmd_sweep(args)
         if args.command == "verify":
             return cmd_verify(args)

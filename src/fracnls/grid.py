@@ -145,14 +145,15 @@ def _apply_symbol(u: Field, symbol: np.ndarray) -> np.ndarray:
     return np.fft.ifft(symbol * np.fft.fft(u.values))
 
 
-def _one_sided_symbol(grid: Grid, alpha: float, sign: float) -> np.ndarray:
+def _one_sided(u: Field, alpha: float, sign: float) -> ComplexPair:
     # principal branch (sign * i * w)^alpha = |w|^alpha * exp(i alpha (pi/2) sign(sign*w));
     # |0|^alpha = 0 exactly, and the unpaired Nyquist mode is zeroed because the
     # odd part of the symbol has no well-defined phase there
-    mag = np.abs(grid.w) ** alpha
-    sym = mag * np.exp(1j * alpha * (np.pi / 2.0) * np.sign(sign * grid.w))
-    sym[grid.N // 2] = 0.0
-    return sym
+    a, w = _check_alpha(alpha), u.grid.w
+    sym = np.abs(w) ** a * np.exp(1j * a * (np.pi / 2.0) * np.sign(sign * w))
+    sym[u.grid.N // 2] = 0.0
+    out = _apply_symbol(u, sym)
+    return ComplexPair(Field(u.grid, out.real), Field(u.grid, out.imag))
 
 
 def left_lw_derivative(u: Field, alpha: float) -> ComplexPair:
@@ -163,16 +164,12 @@ def left_lw_derivative(u: Field, alpha: float) -> ComplexPair:
     spectrum respects the symbol's conjugate symmetry, and its size measures
     how far the sampled field is from that ideal.
     """
-    a = _check_alpha(alpha)
-    out = _apply_symbol(u, _one_sided_symbol(u.grid, a, +1.0))
-    return ComplexPair(Field(u.grid, out.real), Field(u.grid, out.imag))
+    return _one_sided(u, alpha, +1.0)
 
 
 def right_lw_derivative(u: Field, alpha: float) -> ComplexPair:
     """Right-sided fractional derivative, symbol ``(-i w)^alpha``."""
-    a = _check_alpha(alpha)
-    out = _apply_symbol(u, _one_sided_symbol(u.grid, a, -1.0))
-    return ComplexPair(Field(u.grid, out.real), Field(u.grid, out.imag))
+    return _one_sided(u, alpha, -1.0)
 
 
 def composed_operator(u: Field, alpha: float) -> Field:

@@ -23,15 +23,15 @@ the start's positive part, and an off-centre start no longer spends its
 iterations in the slow translation mode.  The discrete rearrangement is even
 only up to a one-cell parity offset, a translation by dx/2 that a tight
 ``grad_tol`` stalls on, so the profile is averaged with its mirror about
-x = 0.  ``level_c_infinity``, ``compare_levels``, ``continuity_sweep`` and
-``compare_c_to_c_infinity`` all go through ``level_c``;
+x = 0.  ``level_c_infinity``, ``compare_levels``, ``continuity_sweep``,
+``compare_c_to_c_infinity`` and the CLI's ``c`` all go through ``level_c``;
 ``solver.ground_state`` descends from the start it is given, whatever the
 potential.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -110,23 +110,25 @@ def level_c(
     as the level is attained in that class; an off-centre start then costs no
     slow translation toward the centre.  The positive part, not ``|s|``,
     keeps a start without positive part inadmissible.  Starts on any other
-    potential are taken as given.
+    potential are taken as given.  If all are rejected, the error names the
+    last one's reason.
     """
     if starts is None:
         starts = [default_start(prob.grid)]
     if not starts:
         raise AdmissibilityError("at least one start is required")
-    cfg = cfg if cfg is not None else SolverConfig()
     runs = []
+    rejected = None  # the last start's rejection, named if every start fails
     for s in starts:
         if prob.potential.radial_increasing:
             s = Field(s.grid, _symmetric_start(s.values))
         try:
-            runs.append(ground_state(prob, replace(cfg, start=s)))
-        except (AdmissibilityError, ProjectionError):
-            continue
+            runs.append(ground_state(prob, cfg, s))
+        except (AdmissibilityError, ProjectionError) as e:
+            rejected = e
     if not runs:
-        raise AdmissibilityError("no admissible start among the supplied fields")
+        raise AdmissibilityError(
+            f"no admissible start among the supplied fields: {rejected}") from rejected
     converged = [r for r in runs if r.converged]
     return min(converged or runs, key=lambda r: r.c)
 

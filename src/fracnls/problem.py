@@ -318,8 +318,8 @@ class Potential:
     """Potential ``V`` with floor ``V0``, asymptotic constant ``V_inf``, flags.
 
     The evaluator is one of an expression string in the variable ``t`` (a
-    restricted numpy namespace) or a table of grid values.  Both survive
-    pickling, which the parallel sweep path relies on.
+    restricted numpy namespace), checked and compiled once, or a table of
+    grid values.
 
     An expression may use only int and float literals, ``t``, the names in
     ``_EXPR_NAMES``, unary ``+ -``, binary ``+ - * / // % **`` and single
@@ -352,6 +352,9 @@ class Potential:
     _EXPR_NODES = (ast.Expression, ast.Load, ast.UnaryOp, ast.UAdd, ast.USub, ast.BinOp,
                    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
                    ast.cmpop)
+    # the deepest nesting of an expression's tree, root and leaves counted;
+    # compiling the tree recurses once per level, within Python's limit of 1000
+    _MAX_DEPTH = 350
 
     def __init__(
         self,
@@ -364,7 +367,7 @@ class Potential:
     ) -> None:
         if (expr is None) == (table is None):
             raise ConfigurationError("exactly one of expr, table must be given")
-        # the checked expression as evaluated: a string, so the potential pickles
+        # the checked expression, compiled
         self._code = None if expr is None else self._check_expr(expr)
         self.V0 = float(V0)
         self.V_inf = float(V_inf)
@@ -376,12 +379,17 @@ class Potential:
             raise HypothesisError(f"V1: the floor V0 must be positive, got {self.V0}")
 
     @classmethod
-    def _check_expr(cls, expr: str) -> str:
-        """``expr`` checked against the grammar and unparsed with every literal
-        a float."""
+    def _check_expr(cls, expr: str):
+        """``expr`` checked against the grammar and compiled with every literal
+        a float.  The walk does not recurse and caps the nesting, so the
+        verdict does not depend on the caller's stack depth."""
+        shown = f"potential expression {expr!r:.60}"  # a long expression is cut
         try:
             tree = ast.parse(expr, mode="eval")
-            for node in ast.walk(tree):
+            todo = [(tree, 1)]  # breadth first, as ast.walk: extended while iterated
+            for node, depth in todo:
+                if depth > cls._MAX_DEPTH:
+                    raise RecursionError
                 if isinstance(node, ast.Constant):
                     ok = type(node.value) in (int, float)
                 elif isinstance(node, ast.Name):
@@ -393,23 +401,22 @@ class Potential:
                 else:
                     ok = isinstance(node, cls._EXPR_NODES)
                 if not ok:
-                    # an operator node unparses to '', so it is named by its class
-                    part = ast.unparse(node) or type(node).__name__
-                    raise ConfigurationError(f"potential expression {expr!r} may not contain {part!r}")
+                    # an operator node has no source segment, so it is named by its class
+                    part = ast.get_source_segment(expr, node) or type(node).__name__
+                    raise ConfigurationError(f"{shown} may not contain {part!r:.60}")
                 if isinstance(node, ast.Constant):
                     try:
                         node.value = float(node.value)
                     except OverflowError:
-                        raise ConfigurationError(f"potential expression {expr!r} has a "
-                                                 "literal beyond float range") from None
-            return ast.unparse(tree)
+                        raise ConfigurationError(f"{shown} has a literal beyond float range") from None
+                todo.extend((child, depth + 1) for child in ast.iter_child_nodes(node))
+            return compile(tree, "<potential>", "eval")
         except SyntaxError as e:
-            raise ConfigurationError(
-                f"potential expression {expr!r} does not parse: {e.msg}") from None
+            raise ConfigurationError(f"{shown} does not parse: {e.msg}") from None
         except (RecursionError, MemoryError):
-            # ast.parse and ast.unparse recurse once per level of nesting
-            raise ConfigurationError(f"potential expression of {len(expr)} characters is "
-                                     "nested too deeply to check") from None
+            # the cap; below it, ast.parse and compile fail only 650 frames deep
+            raise ConfigurationError(f"{shown} of {len(expr)} characters is nested too deeply "
+                                     f"to check (more than {cls._MAX_DEPTH} levels)") from None
 
     @classmethod
     def constant(cls, value: float, **flags) -> "Potential":
@@ -428,7 +435,7 @@ class Potential:
             try:
                 vals = eval(self._code, {"__builtins__": {}}, names)  # noqa: S307 grammar checked in __init__
             except (ArithmeticError, TypeError, ValueError) as e:
-                raise ConfigurationError(f"potential expression {self.expr!r} fails: {e}") from None
+                raise ConfigurationError(f"potential expression {self.expr!r:.60} fails: {e}") from None
         else:
             if self.table.shape != (grid.N,):
                 raise ConfigurationError(

@@ -53,10 +53,10 @@ per step:
      first-order decrease rate (the fibering derivative vanishes at the
      projected point), so the plain gradient pairing is the right slope.
 
-The start is divided by its largest value before it is projected.  The
-projection is scale-invariant, and a start of height 1 keeps the powers of
-its values in floating-point range, so a start of amplitude 1e-90 or 1e90
-solves like one of amplitude 1.
+The start, a ``Field`` passed to ``ground_state``, is divided by its largest
+value before it is projected.  The projection is scale-invariant, and a
+start of height 1 keeps the powers of its values in floating-point range, so
+a start of amplitude 1e-90 or 1e90 solves like one of amplitude 1.
 
 The power nonlinearity's ``f`` is a product of squares for an integer p (see
 ``problem.Nonlinearity``), which the loop calls once per gradient and once
@@ -82,8 +82,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field as dc_field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -140,15 +140,16 @@ class GaussianBump:
                 need = "a positive" if name == "width" else "a"
                 raise ConfigurationError(f"start {name} must be {need} finite number, got {value!r}")
 
-
-Start = Union[GaussianBump, Field]
+    def on(self, grid: Grid) -> Field:
+        """The bump sampled on the grid points."""
+        return Field(grid, self.amplitude * np.exp(-((grid.x - self.center) ** 2)
+                                                    / (2.0 * self.width**2)))
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 5000
     grad_tol: float = 1e-6
-    start: Start = dc_field(default_factory=GaussianBump)
 
     def __post_init__(self) -> None:
         if self.grad_tol <= 0.0:
@@ -213,34 +214,16 @@ class GroundStateReport:
 
 
 def default_start(grid: Grid) -> Field:
-    return _bump_field(grid, GaussianBump())
-
-
-def _bump_field(grid: Grid, b: GaussianBump) -> Field:
-    vals = b.amplitude * np.exp(-((grid.x - b.center) ** 2) / (2.0 * b.width**2))
-    return Field(grid, vals)
+    return GaussianBump().on(grid)
 
 
 def random_starts(grid: Grid, count: int, seed: int = 0) -> list:
     """Seeded admissible starts: bumps with randomized center, width, height."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        b = GaussianBump(
-            center=float(rng.uniform(-grid.L / 4.0, grid.L / 4.0)),
-            width=float(rng.uniform(0.5, 2.0)),
-            amplitude=float(rng.uniform(0.5, 2.0)),
-        )
-        out.append(_bump_field(grid, b))
-    return out
-
-
-def _as_start_field(grid: Grid, start: Start) -> Field:
-    if isinstance(start, Field):
-        if start.grid.N != grid.N or start.grid.L != grid.L:
-            raise AdmissibilityError("start field lives on a different grid")
-        return start
-    return _bump_field(grid, start)
+    return [GaussianBump(center=float(rng.uniform(-grid.L / 4.0, grid.L / 4.0)),
+                         width=float(rng.uniform(0.5, 2.0)),
+                         amplitude=float(rng.uniform(0.5, 2.0))).on(grid)
+            for _ in range(count)]
 
 
 def _direction(gw: np.ndarray, d: np.ndarray, dh: np.ndarray, gd: float, prev) -> tuple:
@@ -313,16 +296,22 @@ def _line_search(prob: Problem, project, u: np.ndarray, uh: np.ndarray, p: np.nd
     return sigma * v, sigma * (uh - t * ph), sigma * sigma * Qt, psi
 
 
-def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None) -> GroundStateReport:
-    """Minimize the energy over the constraint manifold.
+def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None,
+                 start: Optional[Field] = None) -> GroundStateReport:
+    """Minimize the energy over the constraint manifold from ``start``, by
+    default ``default_start``.
 
-    The start must have a nonzero positive part; anything else has no ray
-    projection and is rejected.  The returned iterate always lies on the
-    manifold, so the reported c equals the energy of the returned field by
-    construction.
+    The start must lie on the problem's grid and have a nonzero positive
+    part; anything else has no ray projection and is rejected.  The returned
+    iterate always lies on the manifold, so the reported c equals the energy
+    of the returned field by construction.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    u0 = _as_start_field(prob.grid, cfg.start).values
+    if start is None:
+        start = default_start(prob.grid)
+    elif start.grid.N != prob.grid.N or start.grid.L != prob.grid.L:
+        raise AdmissibilityError("start field lives on a different grid")
+    u0 = start.values
     top = float(np.max(u0))
     if not top > 0.0:
         raise AdmissibilityError("inadmissible start: no positive part")

@@ -87,13 +87,13 @@ def canonical_solves(canonical):
     fine_grid = make_grid(20.0, 2048)
     fine = ground_state(
         canonical.on_grid(fine_grid),
-        SolverConfig(grad_tol=GRAD_TOL, start=refine_field(base.u, 2)),
+        SolverConfig(grad_tol=GRAD_TOL), refine_field(base.u, 2),
     )
 
     wide_grid = make_grid(40.0, 2048)  # doubled window at the same spacing
     wide = ground_state(
         canonical.on_grid(wide_grid),
-        SolverConfig(grad_tol=GRAD_TOL, start=embed_field(base.u, wide_grid)),
+        SolverConfig(grad_tol=GRAD_TOL), embed_field(base.u, wide_grid),
     )
     elapsed = time.monotonic() - t0
     return {"base": base, "fine": fine, "wide": wide, "elapsed": elapsed}
@@ -109,8 +109,7 @@ def window_ladder(canonical, canonical_solves):
     wider_grid = make_grid(80.0, 4096)
     wider = ground_state(
         canonical.on_grid(wider_grid),
-        SolverConfig(grad_tol=GRAD_TOL,
-                     start=embed_field(canonical_solves["wide"].u, wider_grid)),
+        SolverConfig(grad_tol=GRAD_TOL), embed_field(canonical_solves["wide"].u, wider_grid),
     )
 
     control = make_problem(canonical.grid, 1.0, power_nonlinearity(3.0),
@@ -119,7 +118,7 @@ def window_ladder(canonical, canonical_solves):
     wide_grid = canonical_solves["wide"].u.grid
     control_wide = ground_state(
         control.on_grid(wide_grid),
-        SolverConfig(grad_tol=GRAD_TOL, start=embed_field(control_base.u, wide_grid)),
+        SolverConfig(grad_tol=GRAD_TOL), embed_field(control_base.u, wide_grid),
     )
     return {"wider": wider, "control_base": control_base, "control_wide": control_wide}
 
@@ -274,7 +273,7 @@ class TestCriterion05Nonnegativity:
     def test_criterion_05_nonnegativity(self, canonical):
         worst = ground_state(canonical, SolverConfig(grad_tol=GRAD_TOL)).nonneg_violation
         for start in random_starts(canonical.grid, 5, seed=105):
-            rep = ground_state(canonical, SolverConfig(grad_tol=GRAD_TOL, start=start))
+            rep = ground_state(canonical, SolverConfig(grad_tol=GRAD_TOL), start)
             worst = max(worst, rep.nonneg_violation)
         ok = worst <= 1e-6
         assert verdict(5, ok, f"max negative-part mass {worst:.3e} <= 1e-6 over canonical + 5 multistarts")
@@ -343,12 +342,12 @@ class TestCriterion09Symmetry:
         start = GaussianBump(center=0.7, width=1.2)  # deliberately off-center
 
         prob_a = make_problem(make_grid(20.0, 2048), ALPHA, nl, V)
-        rep_a = ground_state(prob_a, SolverConfig(grad_tol=1e-6, start=start))
+        rep_a = ground_state(prob_a, SolverConfig(grad_tol=1e-6), start.on(prob_a.grid))
 
         # tighten the solver tolerance along with the grid so the measured
         # defect tracks the discretization, not the stopping rule
         prob_b = make_problem(make_grid(20.0, 4096), ALPHA, nl, V)
-        rep_b = ground_state(prob_b, SolverConfig(grad_tol=2.5e-7, start=start))
+        rep_b = ground_state(prob_b, SolverConfig(grad_tol=2.5e-7), start.on(prob_b.grid))
 
         ok = (rep_a.converged and rep_b.converged
               and rep_a.symmetry_defect <= 1e-3

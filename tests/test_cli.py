@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import WELL_EXPR
-from fracnls import cli, make_grid
+from fracnls import cli, make_grid, solver
 
 CANON = {
     "tag": "canon",
@@ -162,16 +162,52 @@ class TestGroundStateCommand:
         assert far["iterations"] == unit["iterations"]
 
     def test_state_is_rearranged_once(self, tmp_path, capsys, monkeypatch):
-        # the u_star column and symmetry_defect share the report's rearrangement
-        real = sys.modules["fracnls.rearrange"].rearrange_values
+        # the u_star column and symmetry_defect share the report's
+        # rearrangement; the symmetric start calls nehari's own binding
+        real = solver.rearrange_values
         calls = []
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("fracnls") and getattr(mod, "rearrange_values", None) is real:
-                monkeypatch.setattr(mod, "rearrange_values",
-                                    lambda v: calls.append(v.size) or real(v))
+        monkeypatch.setattr(solver, "rearrange_values",
+                            lambda v: calls.append(v.size) or real(v))
         code, _, err = main_in_process(capsys, "ground-state", dict(CANON, N=512), tmp_path)
         assert code == 0, err
         assert calls == [512]
+
+    def test_start_reaches_unflagged_solve(self, tmp_path, capsys):
+        # on the hump the start is taken as given: from the window's edge the
+        # state settles far from the hump, below the centred start's level
+        edge = {k: v for k, v in BUMP.items() if k != "sweep"}
+        edge["solver"] = dict(BUMP["solver"], start={"center": -20.0})
+        code, _, err = main_in_process(capsys, "ground-state", edge, tmp_path)
+        assert code == 0, err
+        report = json.loads((tmp_path / "out" / "bump_0.75_256.json").read_text())
+        assert report["c"] == pytest.approx(1.3573, abs=1e-4)
+
+    def test_off_centre_start_in_well_solves_as_centred(self, tmp_path, capsys):
+        # the well is flagged radial_increasing, so the level is sought from
+        # the start's symmetric decreasing profile
+        reports = []
+        for name, solver_cfg in (("centred", WELL["solver"]),
+                                 ("off", dict(WELL["solver"], start={"center": 4.0}))):
+            cfg = {k: v for k, v in WELL.items() if k != "sweep"}
+            cfg["solver"] = solver_cfg
+            (tmp_path / name).mkdir()
+            code, _, err = main_in_process(capsys, "ground-state", cfg, tmp_path / name)
+            assert code == 0, err
+            out = tmp_path / name / "out" / "well_0.75_256.json"
+            reports.append(json.loads(out.read_text()))
+        centred, off = reports
+        assert off["iterations"] == centred["iterations"]
+        assert off["c"] == pytest.approx(centred["c"], rel=0.0, abs=1e-12)
+
+    def test_rejected_start_names_its_reason(self, tmp_path, capsys):
+        # a narrow start 10 beyond the L = 20 window underflows to zero on it
+        far = {k: v for k, v in CANON.items()}
+        far["solver"] = dict(CANON["solver"], start={"center": 30.0, "width": 0.25})
+        code, _, err = main_in_process(capsys, "ground-state", far, tmp_path)
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "no positive part" in lines[0]
 
     def test_missing_config_exits_one(self, tmp_path):
         r = run_cli("ground-state", "--out", str(tmp_path))
@@ -426,7 +462,7 @@ class TestLimitingLevel:
 
     def test_stalled_refinement_exits_two_naming_it(self, tmp_path, capsys, monkeypatch):
         # only the doubled-window solve (L = 40) is marked
-        self.stall(monkeypatch, "ground_state", lambda prob, cfg: prob.grid.L == 40.0)
+        self.stall(monkeypatch, "ground_state", lambda prob, cfg, start: prob.grid.L == 40.0)
         short = {k: v for k, v in BUMP.items() if k != "sweep"}
         code, out, _ = main_in_process(capsys, "ground-state", short, tmp_path, "--refine")
         assert code == 2

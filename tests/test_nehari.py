@@ -231,6 +231,13 @@ class TestLevels:
         with pytest.raises(AdmissibilityError):
             level_c(prob512, starts, cfg=FAST)
 
+    def test_rejection_reason_kept(self, prob512):
+        # the last start's rejection is chained and named in the message
+        starts = [Field(prob512.grid, -np.ones(prob512.grid.N))]
+        with pytest.raises(AdmissibilityError, match="no positive part") as err:
+            level_c(prob512, starts, cfg=FAST)
+        assert isinstance(err.value.__cause__, AdmissibilityError)
+
     def test_level_c_infinity_uses_constant(self, prob_well):
         est = level_c_infinity(prob_well, [default_start(prob_well.grid)], cfg=FAST)
         flat = make_problem(prob_well.grid, 0.75, prob_well.nonlinearity,
@@ -265,7 +272,7 @@ class TestSymmetricClass:
         prob = make_problem(grid512, 0.75, cubic, Potential.from_expr(expr, V0=1.0, V_inf=V_inf))
         start = Field(grid512, np.exp(-((grid512.x - 1.5) ** 2) / 2.0))
         est = level_c(prob, [start], cfg=SolverConfig(max_iters=300))
-        rep = ground_state(prob, SolverConfig(max_iters=300, start=start))
+        rep = ground_state(prob, SolverConfig(max_iters=300), start)
         assert est.c.hex() == rep.c.hex()
         assert est.iterations == rep.iterations
 
@@ -274,7 +281,7 @@ class TestSymmetricClass:
         prob = prob_well if which == "well" else prob512
         for start in random_starts(prob.grid, 8):
             est = level_c(prob, [start])
-            rep = ground_state(prob, SolverConfig(start=start))
+            rep = ground_state(prob, start=start)
             assert est.converged and rep.converged
             assert est.c == pytest.approx(rep.c, rel=1e-12, abs=0.0)
 

@@ -326,6 +326,24 @@ class TestPotential:
         well = Potential.from_expr(WELL_EXPR, V0=1.0, V_inf=2.0).shifted(-0.5)
         assert np.allclose(well.on(g), 1.5 - 1.0 / (1.0 + g.x**2))
 
+    def test_verdict_independent_of_stack_depth(self):
+        # the tree is walked and capped without recursion: a 300-term sum
+        # passes 100 frames deep as it does at top level
+        expr = " + ".join(["t"] * 300)
+
+        def nested(depth):
+            return nested(depth - 1) if depth else Potential.from_expr(expr, V0=1.0, V_inf=1.0)
+
+        g = make_grid(10.0, 64)
+        assert np.array_equal(nested(100).on(g), Potential.from_expr(expr, 1.0, 1.0).on(g))
+
+    def test_message_shows_a_capped_expression(self):
+        expr = "maximum(" + ", ".join(["t"] * 50_000) + ", x)"
+        with pytest.raises(ConfigurationError) as err:
+            Potential.from_expr(expr, V0=1.0, V_inf=1.0)
+        assert len(str(err.value)) < 300
+        assert "may not contain 'x'" in str(err.value)
+
     def test_shift_cannot_sink_floor(self):
         V = Potential.constant(1.0)
         with pytest.raises(ConfigurationError):

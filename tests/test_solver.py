@@ -93,7 +93,7 @@ class TestGroundState:
 
     def test_converged_start_takes_zero_iterations(self, prob512):
         rep = ground_state(prob512)
-        again = ground_state(prob512, SolverConfig(start=rep.u))
+        again = ground_state(prob512, start=rep.u)
         assert again.iterations == 0
         assert again.converged
         assert again.c == pytest.approx(rep.c, rel=1e-12)
@@ -101,7 +101,7 @@ class TestGroundState:
     def test_nonpositive_start_rejected(self, prob512):
         bad = Field(prob512.grid, -np.ones(prob512.grid.N))
         with pytest.raises(AdmissibilityError, match="positive"):
-            ground_state(prob512, SolverConfig(start=bad))
+            ground_state(prob512, start=bad)
 
     def test_iteration_budget_respected_and_reported(self, prob512):
         rep = ground_state(prob512, SolverConfig(max_iters=1))
@@ -117,8 +117,8 @@ class TestGroundState:
         assert all(b <= a + 1e-12 for a, b in zip(cs, cs[1:]))
 
     def test_translation_covariance_flat_potential(self, prob512):
-        centered = ground_state(prob512, SolverConfig(start=GaussianBump(center=0.0)))
-        shifted = ground_state(prob512, SolverConfig(start=GaussianBump(center=2.5)))
+        centered = ground_state(prob512, start=GaussianBump(center=0.0).on(prob512.grid))
+        shifted = ground_state(prob512, start=GaussianBump(center=2.5).on(prob512.grid))
         assert shifted.converged
         assert shifted.c == pytest.approx(centered.c, rel=1e-6)
 
@@ -129,7 +129,7 @@ class TestGroundState:
         assert verdict.passed
 
     def test_wider_start_same_level(self, prob512):
-        rep = ground_state(prob512, SolverConfig(start=GaussianBump(width=2.0)))
+        rep = ground_state(prob512, start=GaussianBump(width=2.0).on(prob512.grid))
         assert rep.converged
         assert rep.c == pytest.approx(C_FROZEN_A075, rel=1e-8)
 
@@ -157,7 +157,7 @@ class TestConjugateDescent:
     def test_far_start_in_well_converges(self, grid_canonical, cubic, well_potential, center):
         prob = make_problem(grid_canonical, 0.75, cubic, well_potential)
         centred = ground_state(prob)
-        far = ground_state(prob, SolverConfig(start=GaussianBump(center=center)))
+        far = ground_state(prob, start=GaussianBump(center=center).on(prob.grid))
         assert centred.converged and far.converged
         assert far.iterations < 300
         assert far.c == pytest.approx(centred.c, rel=1e-9)
@@ -181,7 +181,7 @@ class TestConjugateDescent:
         rep = ground_state(prob_canonical)
         per_solve = len(calls)
         calls.clear()
-        again = ground_state(prob_canonical, SolverConfig(start=rep.u))
+        again = ground_state(prob_canonical, start=rep.u)
         assert again.iterations == 0 and rep.iterations > 0
         assert per_solve - len(calls) == 2 * rep.iterations
 
@@ -315,7 +315,7 @@ class TestCarriedState:
             return real(prob_, u, uh)
 
         monkeypatch.setattr(solver, "_gradient", spy)
-        rep = ground_state(prob, SolverConfig(start=GaussianBump(center=5.0)))
+        rep = ground_state(prob, start=GaussianBump(center=5.0).on(prob.grid))
         assert rep.iterations >= 1000
         assert rep.converged and rep.residual <= 1e-6
         u, uh = seen
@@ -451,7 +451,7 @@ class TestConfigValidation:
         other = make_grid(20.0, 256)
         bad = Field(other, np.ones(256))
         with pytest.raises(AdmissibilityError):
-            ground_state(prob512, SolverConfig(start=bad))
+            ground_state(prob512, start=bad)
 
 
 class TestGapVerdict:
@@ -517,7 +517,6 @@ class TestSymmetryDiagnostic:
         assert len(calls) == 1
 
     def test_asymmetric_start_converges_to_symmetric(self, prob_well):
-        cfg = SolverConfig(start=GaussianBump(center=0.7, width=1.2))
-        rep = ground_state(prob_well, cfg)
+        rep = ground_state(prob_well, start=GaussianBump(center=0.7, width=1.2).on(prob_well.grid))
         assert rep.converged
         assert rep.symmetry_defect <= 1e-3
