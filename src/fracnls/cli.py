@@ -1,14 +1,16 @@
 """Command line driver: solve, sweep, verify, rearrange.
 
-``ground-state`` and ``sweep`` take ``c`` from ``nehari.level_c``; only the
+``ground-state`` and ``sweep`` take ``c`` from ``nehari.level_c`` and its
+verdict against c_inf from ``nehari.compare_c_to_c_infinity``; only the
 ``--refine`` solves call ``solver.ground_state``, from the solved state.
 
 Exit codes: 0 success, 1 configuration or validation error, 2 numerical
-non-convergence of any solve a report depends on.  Scalar reports go to JSON
-with a fixed key order, tables and profiles to CSV with floats printed at 17
-significant digits, so a rerun with the same config and version is byte
-identical.  Timestamps live only in the run manifest, which sits beside the
-data outputs on purpose.
+non-convergence of any solve a report depends on (whose numbers are then
+written as null) or a level above c_inf (``not_attained``).  Scalar reports
+go to JSON with a fixed key order, tables and profiles to CSV with floats
+printed at 17 significant digits, so a rerun with the same config and version
+is byte identical.  Timestamps live only in the run manifest, which sits
+beside the data outputs on purpose.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ import numpy as np
 from . import __version__
 from .exceptions import AdmissibilityError, ConfigurationError, HypothesisError, ProjectionError
 from .grid import Field, embed_field, make_grid, refine_field
-from .nehari import level_c, level_c_infinity
+from .nehari import compare_c_to_c_infinity, level_c
 from .problem import (NONLINEARITY_KEYS, Problem, config_number, config_section,
                       problem_from_config)
 from .rearrange import polya_szego_check, rearrange
-from .solver import GaussianBump, GroundStateReport, SolverConfig, ground_state
+from .solver import GaussianBump, SolverConfig, ground_state
 from .verify import SUITES, run_suite
 
 _USER_ERRORS = (
@@ -49,14 +51,14 @@ _USER_ERRORS = (
 
 
 def _fmt(v) -> str:
+    if v is None:
+        return "nan"
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        return format(v, ".17g")
+        return format(v, ".17g")  # "nan" for NaN
     return str(v)
 
 
@@ -149,31 +151,18 @@ def _solver_config(cfg: dict) -> tuple:
 # ------------------------------------------------------------------ solving
 
 
-def _c_infinity(prob: Problem, cfg: SolverConfig, report: GroundStateReport) -> tuple:
-    """Level of the limiting problem and whether its solve converged.
-
-    A constant V is its own limit, so c itself is returned; without the
-    below_Vinf flag the limiting level is not reported (NaN).
-    """
-    if float(np.max(np.abs(prob.V_values - prob.potential.V_inf))) <= 1e-14:
-        return report.c, True
-    if not prob.potential.below_Vinf:
-        return math.nan, True
-    inf = level_c_infinity(prob, cfg=cfg)
-    return inf.c, inf.converged
-
-
 def _run_point(prob: Problem, scfg: SolverConfig, bump: GaussianBump, refine: bool) -> tuple:
-    """Solve for c and c_inf by ``level_c`` from the start ``bump``; with
-    refine, re-solve by ``ground_state`` at 2N (same window) and at the
-    doubled window with matched spacing, each from the solved state, and
-    record both relative drifts of c.  Returns the report, the record of
-    every per-point value the outputs write, and the names of the auxiliary
-    solves that did not converge."""
+    """Solve for c by ``level_c`` from the start ``bump`` and compare it with
+    c_inf; with refine, re-solve by ``ground_state`` at 2N (same window) and at
+    the doubled window with matched spacing, each from the solved state, and
+    record both relative drifts of c, NaN if that solve stalled.  Returns the
+    report, the record of every per-point value the outputs write, and the
+    names of the auxiliary solves that did not converge."""
     report = level_c(prob, [bump.on(prob.grid)], scfg)
-    c_inf, inf_converged = _c_infinity(prob, scfg, report)
-    stalled = [] if inf_converged else ["c_inf"]
-    record = dict(c=report.c, c_inf=c_inf, residual=report.residual,
+    gap = compare_c_to_c_infinity(prob, report, scfg)
+    stalled = [] if gap.converged else ["c_inf"]
+    record = dict(c=report.c, c_inf=gap.c_infinity if gap.converged else math.nan,
+                  attained=gap.attained, residual=report.residual,
                   iterations=report.iterations, converged=report.converged,
                   nonneg_violation=report.nonneg_violation,
                   symmetry_defect=report.symmetry_defect,
@@ -188,16 +177,19 @@ def _run_point(prob: Problem, scfg: SolverConfig, bump: GaussianBump, refine: bo
             ("truncation_err", "doubled-window", embed_field(report.u, wide_grid)),
         ):
             aux = ground_state(prob.on_grid(start.grid), scfg, start)
-            record[key] = abs(aux.c - report.c) / abs(report.c)
-            if not aux.converged:
+            if aux.converged:
+                record[key] = abs(aux.c - report.c) / abs(report.c)
+            else:
                 stalled.append(name)
-    record["status"] = "ok" if report.converged and not stalled else "nonconverged"
+    record["status"] = ("nonconverged" if not report.converged or stalled
+                        else "not_attained" if gap.attained is False else "ok")
     return report, record, stalled
 
 
 # the ground-state JSON's per-point keys in order; c_inf is written as c_infinity
-_JSON_KEYS = ("c", "c_inf", "residual", "iterations", "converged", "nonneg_violation",
-              "symmetry_defect", "energy", "refinement_drift", "truncation_err")
+_JSON_KEYS = ("c", "c_inf", "attained", "residual", "iterations", "converged",
+              "nonneg_violation", "symmetry_defect", "energy", "refinement_drift",
+              "truncation_err", "status")
 
 
 def _output(args, config_digest: str) -> tuple:
@@ -237,14 +229,17 @@ def cmd_ground_state(args) -> int:
           f"iterations = {report.iterations}")
     for name in stalled:
         print(f"did not converge: the {name} solve")
+    if record["attained"] is False:
+        print(f"not attained: c = {report.c:.12g} lies above c_inf = {record['c_inf']:.12g}")
     return 0 if record["status"] == "ok" else 2
 
 
 # -------------------------------------------------------------------- sweep
 
 _SWEEP_PARAMETERS = ("epsilon", "alpha", "p", "L", "N")
-_SWEEP_COLUMNS = ("parameter", "value", "c", "c_inf", "residual", "symmetry_defect",
-                  "iterations", "converged", "refinement_drift", "truncation_err", "status")
+_SWEEP_COLUMNS = ("parameter", "value", "c", "c_inf", "attained", "residual",
+                  "symmetry_defect", "iterations", "converged", "refinement_drift",
+                  "truncation_err", "status")
 
 
 def _sweep_point(task) -> dict:

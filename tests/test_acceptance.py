@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 
 from fracnls import (
+    LEVEL_TOL,
     Field,
     GaussianBump,
     Potential,
@@ -42,6 +43,7 @@ from fracnls import (
     gradient_I,
     ground_state,
     integrate,
+    level_c,
     make_grid,
     make_problem,
     nehari_project,
@@ -296,13 +298,15 @@ class TestCriterion06LevelMonotonicityContinuity:
 
 class TestCriterion07AttainmentSignature:
     def test_criterion_07_attainment_signature(self, well_1024):
-        out = compare_c_to_c_infinity(well_1024, cfg=SolverConfig(grad_tol=GRAD_TOL))
-        rep = ground_state(well_1024, SolverConfig(grad_tol=GRAD_TOL))
-        ok = rep.converged and out.gap >= 10.0 * out.tol and out.c < out.c_infinity
+        cfg = SolverConfig(grad_tol=GRAD_TOL)
+        rep = level_c(well_1024, cfg=cfg)
+        out = compare_c_to_c_infinity(well_1024, rep, cfg)
+        gap = out.c_infinity - out.c
+        ok = rep.converged and out.attained is True and gap >= 10.0 * LEVEL_TOL
         assert verdict(
             7, ok,
             f"c = {out.c:.6f} < c_inf = {out.c_infinity:.6f}, "
-            f"gap {out.gap:.3e} >= {10.0 * out.tol:.0e}, solver converged: {rep.converged}",
+            f"gap {gap:.3e} >= {10.0 * LEVEL_TOL:.0e}, solver converged: {rep.converged}",
         )
 
 

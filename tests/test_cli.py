@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import WELL_EXPR
-from fracnls import cli, make_grid, solver
+from fracnls import cli, make_grid, nehari, solver
 
 CANON = {
     "tag": "canon",
@@ -35,7 +35,7 @@ WELL = {
     "sweep": {"parameter": "epsilon", "values": [0.0, 0.1, 0.2]},
 }
 
-# above its limit and not flagged below_Vinf: the limiting level is not reported
+# above its limit everywhere: the centred state's level lies above c_inf
 BUMP = {
     "tag": "bump",
     "alpha": 0.75,
@@ -174,13 +174,15 @@ class TestGroundStateCommand:
 
     def test_start_reaches_unflagged_solve(self, tmp_path, capsys):
         # on the hump the start is taken as given: from the window's edge the
-        # state settles far from the hump, below the centred start's level
+        # state settles far from the hump, below the centred start's level but
+        # still above c_inf, so the level is reported as not attained
         edge = {k: v for k, v in BUMP.items() if k != "sweep"}
         edge["solver"] = dict(BUMP["solver"], start={"center": -20.0})
         code, _, err = main_in_process(capsys, "ground-state", edge, tmp_path)
-        assert code == 0, err
+        assert code == 2, err
         report = json.loads((tmp_path / "out" / "bump_0.75_256.json").read_text())
         assert report["c"] == pytest.approx(1.3573, abs=1e-4)
+        assert report["converged"] is True and report["status"] == "not_attained"
 
     def test_off_centre_start_in_well_solves_as_centred(self, tmp_path, capsys):
         # the well is flagged radial_increasing, so the level is sought from
@@ -248,6 +250,7 @@ class TestGroundStateCommand:
         report = json.loads((out / "well_0.75_256.json").read_text())
         assert report["c_infinity"] is not None
         assert report["c"] < report["c_infinity"]
+        assert report["attained"] is True and report["status"] == "ok"
 
 
 class TestSweepCommand:
@@ -367,6 +370,8 @@ class TestSweepCommand:
             assert float(row[col]) == report[key], col
         assert int(row["iterations"]) == report["iterations"]
         assert row["converged"] == "true" and report["converged"] is True
+        assert row["attained"] == "true" and report["attained"] is True
+        assert row["status"] == report["status"] == "ok"
 
     @pytest.mark.parametrize("section,key,value,named", [
         ("potential", "expr", EXPLOIT, "may not contain"),
@@ -410,40 +415,77 @@ class TestSweepCommand:
 
 
 class TestLimitingLevel:
-    """c_inf is c for a flat V, unreported without below_Vinf, solved otherwise;
-    a solve that stops short is never reported as clean."""
+    """c_inf is c for a flat V and solved for any other V, flagged or not; a
+    level above it is reported as not attained (exit 2), and a solve that
+    stops short is never reported as clean."""
 
     def test_flat_potential_reports_c(self, tmp_path, capsys):
         code, _, err = main_in_process(capsys, "ground-state", CANON, tmp_path)
         assert code == 0, err
         report = json.loads((tmp_path / "out" / "canon_0.75_256.json").read_text())
         assert report["c_infinity"] == report["c"]
+        assert report["attained"] is True and report["status"] == "ok"
 
-    def test_unflagged_potential_reports_none(self, tmp_path, capsys):
+    def test_unflagged_potential_reports_limit(self, tmp_path, capsys):
         gs = {k: v for k, v in BUMP.items() if k != "sweep"}
         code, _, err = main_in_process(capsys, "ground-state", gs, tmp_path)
-        assert code == 0, err
+        assert code == 2, err
         report = json.loads((tmp_path / "out" / "bump_0.75_256.json").read_text())
-        assert report["c_infinity"] is None
+        assert report["c_infinity"] == pytest.approx(1.3525377, abs=1e-7)
+        assert report["attained"] is False
         code, _, err = main_in_process(capsys, "sweep", BUMP, tmp_path)
-        assert code == 0, err
+        assert code == 2, err
         rows = list(csv.DictReader(open(tmp_path / "out" / "bump_sweep_epsilon.csv")))
-        assert rows[0]["c_inf"] == "nan"
+        assert float(rows[0]["c_inf"]) == report["c_infinity"]
+        assert rows[0]["attained"] == "false"
+
+    @pytest.mark.parametrize("refine", [(), ("--refine",)])
+    def test_hump_exits_two_not_attained(self, tmp_path, capsys, refine):
+        gs = {k: v for k, v in BUMP.items() if k != "sweep"}
+        code, out, err = main_in_process(capsys, "ground-state", gs, tmp_path, *refine)
+        assert code == 2, err
+        report = json.loads((tmp_path / "out" / "bump_0.75_256.json").read_text())
+        assert report["converged"] is True and report["status"] == "not_attained"
+        assert out.startswith("converged: ")
+        both = [line for line in out.splitlines() if "c = " in line and "c_inf = " in line]
+        assert both == [f"not attained: c = {report['c']:.12g} lies above "
+                        f"c_inf = {report['c_infinity']:.12g}"]
+        code, _, err = main_in_process(capsys, "sweep", BUMP, tmp_path, *refine)
+        assert code == 2
+        rows = list(csv.DictReader(open(tmp_path / "out" / "bump_sweep_epsilon.csv")))
+        assert [r["status"] for r in rows] == ["not_attained"]
+        assert "value 0.0: not_attained" in err
+
+    def test_below_vinf_flag_changes_no_output(self, tmp_path, capsys):
+        # the flag is the (V4) hypothesis check only; c_inf is solved either way
+        flags = {"radial_increasing": True}
+        bare = dict(WELL, potential=dict(WELL["potential"], flags=flags))
+        files = []
+        for name, cfg in (("flagged", WELL), ("bare", bare)):
+            gs = {k: v for k, v in cfg.items() if k != "sweep"}
+            (tmp_path / name).mkdir()
+            for command, c in (("ground-state", gs), ("sweep", cfg)):
+                code, _, err = main_in_process(capsys, command, c, tmp_path / name, "--refine")
+                assert code == 0, err
+            out = tmp_path / name / "out"
+            files.append({f: (out / f).read_bytes() for f in
+                          ("well_0.75_256.json", "well_0.75_256.csv", "well_sweep_epsilon.csv")})
+        assert files[0] == files[1]
 
     # every solve of these configs converges well inside its budget, so the
     # CLI's own solve is wrapped to run for real and come back marked stalled
     @staticmethod
-    def stall(monkeypatch, name, when=lambda *args: True):
-        real = getattr(cli, name)
+    def stall(monkeypatch, module, name, when=lambda *args: True):
+        real = getattr(module, name)
 
         def stalled(*args, **kwargs):
             out = real(*args, **kwargs)
             return replace(out, stop_reason="budget") if when(*args) else out
 
-        monkeypatch.setattr(cli, name, stalled)
+        monkeypatch.setattr(module, name, stalled)
 
     def test_stalled_c_inf_marks_sweep_row(self, tmp_path, capsys, monkeypatch):
-        self.stall(monkeypatch, "level_c_infinity")
+        self.stall(monkeypatch, nehari, "level_c_infinity")
         short = json.loads(json.dumps(WELL))
         short["sweep"]["values"] = [0.0]
         code, _, _ = main_in_process(capsys, "sweep", short, tmp_path)
@@ -451,23 +493,43 @@ class TestLimitingLevel:
         rows = list(csv.DictReader(open(tmp_path / "out" / "well_sweep_epsilon.csv")))
         assert rows[0]["converged"] == "true"
         assert rows[0]["status"] == "nonconverged"
+        assert rows[0]["c_inf"] == rows[0]["attained"] == "nan"
 
     def test_stalled_c_inf_exits_two_naming_it(self, tmp_path, capsys, monkeypatch):
-        self.stall(monkeypatch, "level_c_infinity")
+        self.stall(monkeypatch, nehari, "level_c_infinity")
         short = {k: v for k, v in WELL.items() if k != "sweep"}
         code, out, _ = main_in_process(capsys, "ground-state", short, tmp_path)
         assert code == 2
         assert out.startswith("converged: ")
         assert "did not converge: the c_inf solve" in out
+        report = json.loads((tmp_path / "out" / "well_0.75_256.json").read_text())
+        assert report["c_infinity"] is None and report["attained"] is None
+        assert report["status"] == "nonconverged"
 
     def test_stalled_refinement_exits_two_naming_it(self, tmp_path, capsys, monkeypatch):
-        # only the doubled-window solve (L = 40) is marked
-        self.stall(monkeypatch, "ground_state", lambda prob, cfg, start: prob.grid.L == 40.0)
-        short = {k: v for k, v in BUMP.items() if k != "sweep"}
+        # only the doubled-window solve (L = 40) is marked; the well's level is
+        # attained, so the stall alone makes the exit 2
+        self.stall(monkeypatch, cli, "ground_state", lambda prob, cfg, start: prob.grid.L == 40.0)
+        short = {k: v for k, v in WELL.items() if k != "sweep"}
         code, out, _ = main_in_process(capsys, "ground-state", short, tmp_path, "--refine")
         assert code == 2
         assert "did not converge: the doubled-window solve" in out
         assert "2N" not in out
+        report = json.loads((tmp_path / "out" / "well_0.75_256.json").read_text())
+        assert report["truncation_err"] is None and report["refinement_drift"] is not None
+        assert report["attained"] is True and report["status"] == "nonconverged"
+
+    def test_seam_state_writes_no_truncation_error(self, tmp_path, capsys):
+        # a state at the window's edge is cut in two by the doubled window,
+        # whose solve then runs out its budget: its drift is not a number
+        seam = {k: v for k, v in BUMP.items() if k != "sweep"}
+        seam["solver"] = dict(BUMP["solver"], start={"center": -20.0})
+        code, out, _ = main_in_process(capsys, "ground-state", seam, tmp_path, "--refine")
+        assert code == 2
+        assert "did not converge: the doubled-window solve" in out
+        report = json.loads((tmp_path / "out" / "bump_0.75_256.json").read_text())
+        assert report["truncation_err"] is None and report["refinement_drift"] is not None
+        assert report["status"] == "nonconverged"
 
 
 class TestConfigErrors:

@@ -8,6 +8,7 @@ modules.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from conftest import random_field
 
 from fracnls import (
+    LEVEL_TOL,
     AdmissibilityError,
     Field,
     GaussianBump,
@@ -428,7 +430,7 @@ class TestArrayCore:
         monkeypatch.setattr(np.fft, "fft", forbidden)
         monkeypatch.setattr(np.fft, "ifft", forbidden)
         assert ground_state(prob_canonical).converged
-        assert compare_c_to_c_infinity(prob_well).attained_signature
+        assert compare_c_to_c_infinity(prob_well, level_c(prob_well)).attained
 
 
 class TestConfigValidation:
@@ -456,21 +458,52 @@ class TestConfigValidation:
 
 class TestGapVerdict:
     def test_well_has_strict_gap(self, prob_well):
-        verdict = compare_c_to_c_infinity(prob_well)
-        assert verdict.attained_signature
-        assert verdict.gap >= 10 * verdict.tol
-        assert verdict.c < verdict.c_infinity
+        verdict = compare_c_to_c_infinity(prob_well, level_c(prob_well))
+        assert verdict.attained is True and verdict.converged
+        assert verdict.c_infinity - verdict.c >= 10 * LEVEL_TOL
 
     def test_flat_potential_degenerate_gap(self, prob512):
-        verdict = compare_c_to_c_infinity(prob512)
-        assert abs(verdict.gap) <= 1e-6
-        assert not verdict.attained_signature
+        # a constant V is its own limit: c_inf is c, nothing is solved, and
+        # the level counts as attained
+        rep = level_c(prob512)
+        verdict = compare_c_to_c_infinity(prob512, rep)
+        assert verdict.c_infinity == verdict.c == rep.c
+        assert verdict.attained is True and verdict.converged
 
-    def test_potential_above_limit_rejected(self, grid512, cubic):
+    def test_hump_reported_not_attained(self, grid512, cubic):
+        # V above V_inf everywhere: the centred state's level lies above the
+        # limiting level, which is reported, not rejected
         V = Potential.from_expr("2.0 + 1.0/(1.0 + t**2)", V0=2.0, V_inf=2.0)
         prob = Problem(grid512, 0.75, cubic, V)
-        with pytest.raises(AdmissibilityError):
-            compare_c_to_c_infinity(prob)
+        verdict = compare_c_to_c_infinity(prob, level_c(prob))
+        assert verdict.attained is False and verdict.converged
+        assert verdict.c > verdict.c_infinity + LEVEL_TOL
+
+    def test_undecided_within_tolerance_or_stalled(self, grid512, cubic, prob_well, prob512):
+        # a well 1e-9 deep moves c by far less than LEVEL_TOL
+        V = Potential.from_expr("1.0 - 1e-9/(1.0 + t**2)", V0=0.5, V_inf=1.0)
+        prob = make_problem(grid512, 0.75, cubic, V)
+        verdict = compare_c_to_c_infinity(prob, level_c(prob))
+        assert verdict.c != verdict.c_infinity and verdict.attained is None
+        for p in (prob_well, prob512):
+            stalled = replace(level_c(p), stop_reason="budget")
+            assert compare_c_to_c_infinity(p, stalled).attained is None
+
+    def test_escape_on_hump_shrinks_with_window(self, cubic):
+        # from the antipodal start the state settles at the window's edge, as
+        # far from the hump as the window lets it go; its excess over c_inf is
+        # the hump's 1/t^2 tail at distance L, falling about like L^-2: a
+        # minimizing sequence escaping to infinity (Lions)
+        V = Potential.from_expr("1.0 + 1.0/(1.0 + t**2)", V0=1.0, V_inf=1.0)
+        excess = []
+        for L, N in ((20.0, 256), (40.0, 512)):
+            prob = make_problem(make_grid(L, N), 0.75, cubic, V)
+            rep = ground_state(prob, start=GaussianBump(center=-L).on(prob.grid))
+            verdict = compare_c_to_c_infinity(prob, rep)
+            assert rep.converged and verdict.attained is False
+            excess.append(verdict.c - verdict.c_infinity)
+        assert excess[1] > 0.0
+        assert 3.0 <= excess[0] / excess[1] <= 5.0
 
 
 class TestSymmetryDiagnostic:
