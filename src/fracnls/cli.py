@@ -36,7 +36,7 @@ from .problem import (NONLINEARITY_KEYS, Problem, config_number, config_section,
                       problem_from_config)
 from .rearrange import polya_szego_check, rearrange
 from .solver import GaussianBump, SolverConfig, ground_state
-from .verify import SUITES, run_suite
+from .verify import SUITES
 
 _USER_ERRORS = (
     ConfigurationError,
@@ -110,7 +110,7 @@ def _digest(raw: bytes) -> str:
 
 
 # the problem's keys (see problem_from_config), the output tag and two sections
-_CONFIG_KEYS = ("tag", "alpha", "L", "N", "nonlinearity", "potential", "edge_tol", "solver", "sweep")
+_CONFIG_KEYS = ("tag", "alpha", "L", "N", "nonlinearity", "potential", "solver", "sweep")
 
 
 def _load_config(path: str) -> tuple:
@@ -325,7 +325,7 @@ def cmd_verify(args) -> int:
             return 1
     all_ok = True
     for name in names:
-        checks = run_suite(name, seed=args.seed or 0)
+        checks = SUITES[name](args.seed or 0)
         print(f"suite {name}:")
         for c in checks:
             mark = "PASS" if c.passed else "FAIL"

@@ -15,8 +15,8 @@ two structural flags:
 
   (V1)  V(t) >= V0 > 0 everywhere.
   (V2)/(V3)  liminf of V at infinity equals V_inf; proxied by the minimum of
-        V over the outer fraction of the grid staying within ``edge_tol`` of
-        V_inf.
+        V over the outer fraction of the grid staying within ``_EDGE_TOL``
+        of V_inf.
   (V4)  if flagged below_Vinf: V <= V_inf with strict inequality somewhere.
   (V5)  if flagged radial_increasing: V even and nondecreasing in |t|.
 """
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import ast
 import functools
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
 
@@ -70,8 +69,10 @@ def _gauss_legendre(n: int) -> tuple:
 # the sample on which the nonlinearity hypotheses are checked
 _XI = np.logspace(-6.0, 3.0, 400)
 
-# the outer fraction of the window that stands in for infinity in (V2)/(V3)
+# the outer fraction of the window that stands in for infinity in (V2)/(V3),
+# and how far below V_inf the minimum of V there may sit
 _EDGE_FRACTION = 0.1
+_EDGE_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -227,7 +228,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
-    margin: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -281,8 +281,7 @@ def validate_nonlinearity(nl: Nonlinearity) -> ValidationReport:
         # strict increase toward 0+ forces the sampled ratio to whatever
         # infimum it has; flag a plateau at the small end as a failed limit
         checks.append(
-            CheckResult("f1", True, f"f(xi)/xi strictly increasing; value at xi=1e-6 is {ratio[0]:.3e}",
-                        margin=float(np.min(diffs)))
+            CheckResult("f1", True, f"f(xi)/xi strictly increasing; value at xi=1e-6 is {ratio[0]:.3e}")
         )
 
     Fv = nl.F(xi)
@@ -297,8 +296,7 @@ def validate_nonlinearity(nl: Nonlinearity) -> ValidationReport:
             CheckResult("f2", False, f"theta*F(xi) > xi*f(xi) at xi={xi[i]:.3e} (excess {-upper[i]:.3e})")
         )
     else:
-        checks.append(CheckResult("f2", True, "0 < theta*F(xi) <= xi*f(xi) on the sample",
-                                  margin=float(np.min(upper / np.maximum(xi * pos, 1e-300)))))
+        checks.append(CheckResult("f2", True, "0 < theta*F(xi) <= xi*f(xi) on the sample"))
 
     tail = xi[xi >= 1.0]
     s = nl.f(tail) / tail**nl.p0
@@ -430,21 +428,26 @@ class Potential:
     def on(self, grid: Grid) -> np.ndarray:
         """Evaluate on the grid points, always returning a length-N array."""
         if self.expr is not None:
+            shown = f"potential expression {self.expr!r:.60}"
             names = dict(self._EXPR_NAMES)
             names["t"] = grid.x
             try:
-                vals = eval(self._code, {"__builtins__": {}}, names)  # noqa: S307 grammar checked in __init__
+                # silent: where() evaluates both branches, and a non-finite value fails below
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    vals = eval(self._code, {"__builtins__": {}}, names)  # noqa: S307 grammar checked in __init__
             except (ArithmeticError, TypeError, ValueError) as e:
-                raise ConfigurationError(f"potential expression {self.expr!r:.60} fails: {e}") from None
+                raise ConfigurationError(f"{shown} fails: {e}") from None
         else:
+            shown = "potential table"
             if self.table.shape != (grid.N,):
                 raise ConfigurationError(
                     f"potential table has length {self.table.shape[0]}, grid has N={grid.N}"
                 )
             vals = self.table
         out = np.broadcast_to(np.asarray(vals, dtype=float), (grid.N,)).copy()
-        if not np.all(np.isfinite(out)):
-            raise ConfigurationError("potential evaluates to non-finite values on the grid")
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            raise ConfigurationError(f"{shown} is not finite at t = {grid.x[bad[0]]:.6g}")
         return out
 
     def shifted(self, eps: float) -> "Potential":
@@ -463,13 +466,11 @@ class Potential:
         return Potential(table=self.table + eps, **kw)
 
 
-def validate_potential(V: Potential, grid: Grid, edge_tol: float = 0.05) -> ValidationReport:
+def validate_potential(V: Potential, grid: Grid) -> ValidationReport:
     """Check (V1)-(V5) on the grid.
 
     The liminf condition is proxied by the outer tenth of the window: the
-    minimum of V there must sit within ``edge_tol`` of V_inf.
-    The proxy tolerance is config, not physics; slowly decaying tails need a
-    looser value.
+    minimum of V there must sit within ``_EDGE_TOL`` of V_inf.
     """
     vals = V.on(grid)
     checks = []
@@ -477,7 +478,7 @@ def validate_potential(V: Potential, grid: Grid, edge_tol: float = 0.05) -> Vali
     m = float(np.min(vals))
     checks.append(
         CheckResult("V1", m >= V.V0 - 1e-12 * max(abs(V.V0), 1.0),
-                    f"min V = {m:.6g} against floor V0 = {V.V0:.6g}", margin=m - V.V0)
+                    f"min V = {m:.6g} against floor V0 = {V.V0:.6g}")
     )
 
     n_edge = max(int(_EDGE_FRACTION * grid.N / 2), 1)
@@ -486,9 +487,8 @@ def validate_potential(V: Potential, grid: Grid, edge_tol: float = 0.05) -> Vali
     checks.append(
         CheckResult(
             "V2/V3",
-            edge_min >= V.V_inf - edge_tol,
-            f"outer-{_EDGE_FRACTION:.0%} min V = {edge_min:.6g} against V_inf = {V.V_inf:.6g} (tol {edge_tol})",
-            margin=edge_min - (V.V_inf - edge_tol),
+            edge_min >= V.V_inf - _EDGE_TOL,
+            f"outer-{_EDGE_FRACTION:.0%} min V = {edge_min:.6g} against V_inf = {V.V_inf:.6g} (tol {_EDGE_TOL})",
         )
     )
 
@@ -570,13 +570,12 @@ def make_problem(
     alpha: float,
     nonlinearity: Nonlinearity,
     potential: Potential,
-    edge_tol: float = 0.05,
 ) -> Problem:
     """Bundle the pieces after running both hypothesis validators;
     ``Problem(grid, alpha, nonlinearity, potential)`` is the unchecked bundle."""
     prob = Problem(grid, float(alpha), nonlinearity, potential)
     validate_nonlinearity(nonlinearity).raise_on_failure()
-    validate_potential(potential, grid, edge_tol=edge_tol).raise_on_failure()
+    validate_potential(potential, grid).raise_on_failure()
     return prob
 
 
@@ -616,8 +615,7 @@ def problem_from_config(cfg: dict) -> Problem:
     """Build a problem from the structured config mapping.
 
     Recognized keys: ``alpha``, ``L``, ``N``, ``nonlinearity {kind, p, p0}``,
-    ``potential {expr | table, V0, Vinf, flags}``, and optional
-    ``edge_tol`` for the asymptotic proxy.  An unknown key inside
+    and ``potential {expr | table, V0, Vinf, flags}``.  An unknown key inside
     ``nonlinearity`` or ``potential`` is a ConfigurationError; unknown
     top-level keys are left for the caller (solver and sweep settings live
     beside the problem).
@@ -654,5 +652,4 @@ def problem_from_config(cfg: dict) -> Problem:
         pot = Potential.constant(V0, **flags)
     else:
         raise ConfigurationError("potential config needs 'expr' or 'table' when V0 != Vinf")
-    return make_problem(grid, alpha, nl, pot,
-                        edge_tol=config_number(cfg.get("edge_tol", 0.05), "edge_tol"))
+    return make_problem(grid, alpha, nl, pot)

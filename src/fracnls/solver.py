@@ -91,7 +91,7 @@ from .energy import (EnergyBreakdown, _gradient, _x_product, evaluate_I, project
                      weak_residual_norm)
 from .exceptions import AdmissibilityError, ConfigurationError, ProjectionError
 from .grid import Field, Grid
-from .problem import CheckResult, Problem
+from .problem import Problem
 from .rearrange import rearrange_values
 from .spaces import l2_norm
 
@@ -102,8 +102,6 @@ __all__ = [
     "default_start",
     "random_starts",
     "ground_state",
-    "check_nonnegativity",
-    "symmetry_diagnostic",
 ]
 
 
@@ -381,45 +379,3 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None,
                              projections, mismatch_evals,
                              line_search_trials=attempts - 1,  # all but the start's
                              fft_calls=ffts + _ENERGY_FFTS)
-
-
-def check_nonnegativity(report: GroundStateReport, tol: float = 1e-6) -> CheckResult:
-    """Almost-everywhere nonnegativity of a computed state, as the relative
-    L2 mass of the negative part."""
-    mag = report.nonneg_violation
-    return CheckResult(
-        name="nonnegativity",
-        passed=mag <= tol,
-        detail=f"relative negative-part mass {mag:.3e} against tolerance {tol:.1e}",
-        margin=tol - mag,
-    )
-
-
-@dataclass(frozen=True)
-class SymmetryReport:
-    defect: float
-    energy: float
-    energy_rearranged: float
-    rearrangement_nonincreasing: bool
-
-
-def symmetry_diagnostic(report: GroundStateReport, prob: Problem) -> SymmetryReport:
-    """Distance of a computed state from its symmetric decreasing shape.
-
-    ``prob`` must be the problem the report was solved on: the state's
-    energy is read from the report, not recomputed.  Requires the
-    radial_increasing flag: without it the minimizer has no reason to be
-    symmetric.  Also records that rearrangement did not raise the energy,
-    the mechanism forcing symmetry of the minimizer.
-    """
-    if not prob.potential.radial_increasing:
-        raise AdmissibilityError("symmetry diagnostic needs a radial increasing potential")
-    E_u = report.c
-    E_star = evaluate_I(Field(report.u.grid, report.u_star), prob).total
-    ok = E_star <= E_u + 1e-10 * (1.0 + abs(E_u))
-    return SymmetryReport(
-        defect=report.symmetry_defect,
-        energy=E_u,
-        energy_rearranged=E_star,
-        rearrangement_nonincreasing=bool(ok),
-    )

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -577,6 +578,17 @@ class TestConfigErrors:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "nested too deeply" in lines[0] and "Traceback" not in err
 
+    @pytest.mark.parametrize("expr,t", [("1/t", "0"), ("log(t)", "-20")])
+    def test_non_finite_potential_is_one_error_line(self, tmp_path, capsys, expr, t):
+        # numpy warns on the way to the non-finite value; only the error is printed
+        cfg = json.loads(json.dumps(BUMP))
+        cfg["potential"]["expr"] = expr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = main_in_process(capsys, "ground-state", cfg, tmp_path)
+        assert code == 1
+        assert err.splitlines() == [f"error: potential expression {expr!r} is not finite at t = {t}"]
+
     def test_three_hundred_term_expression_solves(self, tmp_path):
         # the well plus 299 zero terms: the same potential, nested 300 deep
         cfg = dict(WELL, potential=dict(WELL["potential"], expr=WELL_EXPR + " + 0.0 * t" * 299))
@@ -647,9 +659,13 @@ class TestConfigErrors:
          "'sweep.values'"),
         ("ground-state", CANON, ("nonlinearity",), [3.0], "'nonlinearity'"),
         ("sweep", P_SWEEP, ("nonlinearity",), [3.0], "'nonlinearity'"),
+        ("ground-state", CANON, ("nonlinearity", "kind"), "custom", "power nonlinearity only"),
+        ("ground-state", CANON, ("solver", "start"), {"kind": "sech"}, "gaussian_bump start only"),
+        ("sweep", WELL, ("sweep", "parameter"), "V0", "'V0'"),
     ], ids=["start-not-object", "unknown-solver-key", "flags-not-object", "string-flag",
             "unknown-flag", "sweep-not-object", "values-not-list", "nonlinearity-not-object",
-            "p-sweep-nonlinearity-not-object"])
+            "p-sweep-nonlinearity-not-object", "custom-kind", "sech-start",
+            "potential-floor-parameter"])
     def test_malformed_section_named(self, tmp_path, capsys, command, base, path, value,
                                      named):
         cfg = json.loads(json.dumps(base))
@@ -689,7 +705,9 @@ class TestConfigErrors:
     @pytest.mark.parametrize("cfg,named", [
         (dict(WELL, grad_tol=1e-11, max_iters=3), "'grad_tol'"),
         ([1, 2], "JSON object"),
-    ], ids=["solver-keys-at-top-level", "list"])
+        # the edge proxy's tolerance is a module constant, not a config key
+        (dict(WELL, edge_tol=0.1), "'edge_tol'"),
+    ], ids=["solver-keys-at-top-level", "list", "edge-tol"])
     def test_top_level_checked(self, tmp_path, capsys, command, cfg, named):
         # misplaced, the solver keys were ignored and the default solve exited 0
         code, _, err = main_in_process(capsys, command, cfg, tmp_path)
@@ -721,12 +739,12 @@ class TestVerifyCommand:
         for name in ("spectral", "spaces", "nehari", "rearrange", "theorems"):
             assert f"suite {name}:" in r.stdout
 
-    def test_unknown_suite_exits_one(self):
-        r = run_cli("verify", "--suite", "nope")
-        assert r.returncode == 1
-        assert "nope" in r.stderr
+    def test_unknown_suite_exits_one(self, capsys):
+        assert cli.main(["verify", "--suite", "nosuch"]) == 1
+        err = capsys.readouterr().err
+        assert "nosuch" in err
         for name in ("spectral", "spaces", "nehari", "rearrange", "theorems"):
-            assert name in r.stderr
+            assert name in err
 
     def test_seed_changes_nothing_about_verdict(self):
         a = run_cli("verify", "--suite", "rearrange", "--seed", "1")

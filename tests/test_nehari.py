@@ -153,6 +153,14 @@ class TestProjection:
             project_ray(vals, Q, prob)
         assert 0 < len(calls) <= _MAX_BRACKET_STEPS
 
+    def test_nan_mismatch_raises(self, grid512):
+        # a custom f with no value: the unvalidated Problem lets it reach the root
+        nl = custom_nonlinearity(lambda s: np.full_like(s, np.nan), theta=4.0, p0=3.5)
+        prob = Problem(grid512, 0.75, nl, Potential.constant(1.0))
+        vals = positive_field(grid512, np.random.default_rng(70)).values
+        with pytest.raises(ProjectionError, match="mismatch is not a number"):
+            project_ray(vals, 1.0, prob)
+
     def test_theta_above_the_local_slope_converges_fast(self, grid512):
         # k(sigma) = sigma^2 int u^4 + 5 sigma int u^3 has a log-slope between 1
         # and 2: a step of slope theta - 2 = 2 undershoots the root, so only
@@ -230,6 +238,10 @@ class TestLevels:
         starts = [Field(prob512.grid, -np.ones(prob512.grid.N))]
         with pytest.raises(AdmissibilityError):
             level_c(prob512, starts, cfg=FAST)
+
+    def test_empty_start_list_rejected(self, prob512):
+        with pytest.raises(AdmissibilityError, match="at least one start"):
+            level_c(prob512, [], cfg=FAST)
 
     def test_rejection_reason_kept(self, prob512):
         # the last start's rejection is chained and named in the message

@@ -1,5 +1,7 @@
 """Nonlinearity and potential hypotheses: constructors, validators, config."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,11 @@ class TestNonlinearityConstruction:
             power_nonlinearity(1.0)
         with pytest.raises(HypothesisError, match="f1"):
             power_nonlinearity(0.5)
+
+    def test_power_needs_p_above_one(self):
+        # the constructor's own check, before any hypothesis is validated
+        with pytest.raises(ConfigurationError, match="p > 1"):
+            Nonlinearity(theta=4.0, p0=3.5, p=1.0)
 
     def test_theta_must_exceed_two(self):
         with pytest.raises(ConfigurationError, match="theta"):
@@ -325,6 +332,16 @@ class TestPotential:
         assert np.array_equal(step.on(g), np.where(np.abs(g.x) < 1, 1.0, 2.0))
         well = Potential.from_expr(WELL_EXPR, V0=1.0, V_inf=2.0).shifted(-0.5)
         assert np.allclose(well.on(g), 1.5 - 1.0 / (1.0 + g.x**2))
+
+    def test_removable_singularity_evaluates_silently(self):
+        # where() evaluates sin(t)/t at t = 0 too; the finite result is kept
+        # and numpy's warning for the discarded branch is not printed
+        g = make_grid(20.0, 64)
+        V = Potential.from_expr("where(t == 0, 1.0, sin(t)/t) + 1", V0=0.5, V_inf=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = V.on(g)
+        assert vals[g.N // 2] == 2.0 and np.all(np.isfinite(vals))
 
     def test_verdict_independent_of_stack_depth(self):
         # the tree is walked and capped without recursion: a 300-term sum

@@ -1,13 +1,17 @@
-"""Property tests of the ray projection, the power nonlinearity and the
-rearrangement.
+"""Property tests of the ray projection, the power nonlinearity, the
+rearrangement and the level.
 
 Each property holds for every admissible input, so the inputs are drawn by
 ``hypothesis``: exponents from (1.5, 6) and the integers 2 to 5, seeds of
-band-limited fields with a positive part, ray scalings over six decades, and
-float arrays of any length with ties and negative entries.  The bracketed
-root finder of the custom path never shares code with the power path's
-closed form, so agreement between them is an oracle for both.
+band-limited fields with a positive part, ray scalings over six decades,
+float arrays of any length with ties and negative entries, orders ``a`` and
+potential heights ``lambda``.  The bracketed root finder of the custom path
+never shares code with the power path's closed form, so agreement between
+them is an oracle for both; the level is checked against its exact scaling
+in ``lambda`` and, at ``a = 1``, against the sech soliton's closed form.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from fracnls import (
     Problem,
     ProjectionError,
     custom_nonlinearity,
+    ground_state,
     inner_product_X,
     make_grid,
     power_nonlinearity,
@@ -128,3 +133,32 @@ def test_rearrangement_is_equimeasurable_and_decreasing(v):
     n = v.shape[0]
     order = sorted(range(n), key=lambda i: (abs(i - n // 2), i))
     assert np.all(np.diff(star[order]) <= 0.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(a=st.floats(0.55, 1.0), p=exponents, lam=st.floats(-1.0, 1.3).map(lambda e: 10.0**e))
+def test_level_obeys_the_scaling_identity(a, p, lam):
+    # V = lam on [-L/s, L/s) with s = lam^(1/(2a)) is the V = 1 problem on
+    # [-L, L) rescaled: the symbol scales exactly under w -> s w, so
+    # c(lam) = lam^((p+1)/(p-1) - 1/(2a)) c(1) at the same N
+    nl = power_nonlinearity(p)
+    base = ground_state(Problem(make_grid(20.0, 1024), a, nl, FLAT))
+    s = lam ** (0.5 / a)
+    rep = ground_state(Problem(make_grid(20.0 / s, 1024), a, nl, Potential.constant(lam)))
+    assert base.converged and rep.converged
+    want = lam ** ((p + 1.0) / (p - 1.0) - 0.5 / a) * base.c
+    assert abs(rep.c / want - 1.0) <= 1e-10
+
+
+@settings(max_examples=20, deadline=None)
+@given(p=st.floats(1.5, 6.0))
+def test_level_at_a_one_is_the_sech_closed_form(p):
+    # -u'' + u = u^p has u = A sech^(2/(p-1))(B t) with A^(p-1) = (p+1)/2 and
+    # B = (p-1)/2; with m = 2(p+1)/(p-1) its level is
+    # (1/2 - 1/(p+1)) A^(p+1) sqrt(pi) Gamma(m/2) / (B Gamma((m+1)/2))
+    A, B, m = ((p + 1.0) / 2.0) ** (1.0 / (p - 1.0)), (p - 1.0) / 2.0, 2.0 * (p + 1.0) / (p - 1.0)
+    exact = ((0.5 - 1.0 / (p + 1.0)) * A ** (p + 1.0) * math.sqrt(math.pi)
+             * math.gamma(m / 2.0) / (B * math.gamma((m + 1.0) / 2.0)))
+    rep = ground_state(Problem(make_grid(20.0, 512), 1.0, power_nonlinearity(p), FLAT))
+    assert rep.converged
+    assert abs(rep.c / exact - 1.0) <= 1e-9

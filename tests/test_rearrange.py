@@ -117,6 +117,13 @@ class TestPotentialMonotonicity:
         with pytest.raises(AdmissibilityError):
             potential_monotonicity_check(u, V)
 
+    def test_negative_entry_rejected(self, grid512):
+        V = Potential.from_expr(WELL_EXPR, V0=1.0, V_inf=2.0, radial_increasing=True)
+        vals = np.exp(-grid512.x**2)
+        vals[0] = -0.5
+        with pytest.raises(AdmissibilityError, match="nonnegative fields"):
+            potential_monotonicity_check(Field(grid512, vals), V)
+
 
 class TestLayerCake:
     def test_indicator_exact_with_one_level(self, grid512):

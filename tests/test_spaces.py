@@ -107,6 +107,12 @@ class TestNorms:
         with pytest.raises(AdmissibilityError):
             inner_product_X(u, u, 0.75, V)
 
+    def test_fields_on_two_grids_rejected(self, grid512):
+        u = random_field(grid512, np.random.default_rng(17))
+        v = Field(make_grid(10.0, grid512.N), u.values)
+        with pytest.raises(AdmissibilityError, match="different grids"):
+            inner_product_X(u, v, 0.75, 1.0)
+
     def test_coercivity_floor(self, grid512):
         # with V >= V0 the X norm dominates sqrt(min(1, V0)) * the alpha norm
         rng = np.random.default_rng(15)
