@@ -3,9 +3,8 @@
     I(u) = 1/2 * ( |u|_alpha^2 + integral V u^2 ) - integral F(u)
 
 The limiting energy, V replaced by the constant V_inf, is ``evaluate_I`` on
-``prob.with_potential(Potential.constant(V_inf))``.  The kinetic part and the
-gradient's linear part act on ``rfft(u)`` with ``Problem.dirichlet_weights``
-and ``Problem.symbol``.  The gradient is represented as the plain field
+``prob.limit``.  The kinetic part and the gradient's linear part act on
+``rfft(u)`` with ``Problem.dirichlet_weights`` and ``Problem.symbol``.  The gradient is represented as the plain field
 
     g = composed_operator(u, alpha) + V*u - f(u),
 
@@ -22,6 +21,9 @@ of g scaled by the X-norm of u, both taken on the half spectrum of one
 ``rfft(u)``: ``||g||_L2^2`` by Parseval, ``Re vdot(g_hat,
 Problem.parseval_weights * g_hat)``, and ``||u||_X^2`` by ``_x_product``.  A
 true dual norm is not needed for a stopping rule and is documented as such.
+``weak_residual_norm`` and ``evaluate_I`` call their kernels ``_residual`` and
+``_energy`` on ``rfft(u)``, so the solver prices its report from one fresh
+transform.
 
 Along the ray sigma -> sigma*u the energy psi(sigma) = I(sigma*u) rises,
 peaks once, and falls; the peak sigma_u is the unique solution of
@@ -48,7 +50,7 @@ For any other nonlinearity the peak is the root of the mismatch
 which is single, as k increases strictly under the f-hypotheses.  f
 vanishes on xi <= 0 (f0), so k is a dot product over the ray's positive
 entries, taken once per projection, and the peak energy hands only those
-entries, times sigma_u, to ``Nonlinearity.F``.  The root is found by secant
+entries, times sigma_u, to ``Nonlinearity._F_sum``.  The root is found by secant
 steps on log(k/Q) against log sigma, from sigma = 1 and the pure-power guess
 
     log sigma = log(Q / k(1)) / (theta - 2),
@@ -98,11 +100,15 @@ class EnergyBreakdown:
 def evaluate_I(u: Field, prob: Problem) -> EnergyBreakdown:
     """Energy with the spatial potential; kinetic part frequency side,
     potential and nonlinear parts by grid quadrature."""
-    g = u.grid
-    uh = np.fft.rfft(u.values)
+    return _energy(prob, u.values, np.fft.rfft(u.values))
+
+
+def _energy(prob: Problem, u: np.ndarray, uh: np.ndarray) -> EnergyBreakdown:
+    """``evaluate_I`` of the values u, given u's half spectrum."""
+    dx = prob.grid.dx
     kinetic = 0.5 * float(np.vdot(uh, prob.dirichlet_weights * uh).real)
-    potential_term = 0.5 * g.dx * float(np.sum(prob.V_values * u.values**2))
-    nonlinear = g.dx * float(np.sum(prob.nonlinearity.F(u.values)))
+    potential_term = 0.5 * dx * float(np.sum(prob.V_values * u**2))
+    nonlinear = dx * prob.nonlinearity._F_sum(u)
     return EnergyBreakdown(kinetic=kinetic, potential_term=potential_term, nonlinear=nonlinear)
 
 
@@ -127,12 +133,15 @@ def gradient_I(u: Field, prob: Problem) -> Field:
 
 def weak_residual_norm(u: Field, prob: Problem) -> float:
     """Stopping-rule residual ``||gradient||_L2 / ||u||_X``; rejects u = 0."""
-    vals = u.values
-    uh = np.fft.rfft(vals)
-    Q = _x_product(prob, uh, uh, vals, vals)
+    return _residual(prob, u.values, np.fft.rfft(u.values))
+
+
+def _residual(prob: Problem, u: np.ndarray, uh: np.ndarray) -> float:
+    """``weak_residual_norm`` of the values u, given u's half spectrum."""
+    Q = _x_product(prob, uh, uh, u, u)
     if Q <= 0.0:
         raise AdmissibilityError("residual of the zero field is undefined")
-    gh = _gradient(prob, vals, uh)
+    gh = _gradient(prob, u, uh)
     return math.sqrt(float(np.vdot(gh, prob.parseval_weights * gh).real) / Q)
 
 
@@ -231,5 +240,5 @@ def project_ray(vals: np.ndarray, Q: float, prob: Problem) -> tuple:
     # f and F vanish on xi <= 0 (f0), so k and the peak energy need only u's positive part
     f = nl.f_callable
     sigma, bracket, evals = _log_secant(lambda s: dx * float(f(s * pos) @ pos) / s, Q, nl.theta)
-    psi = 0.5 * sigma * sigma * Q - dx * float(np.sum(nl.F(sigma * pos)))
+    psi = 0.5 * sigma * sigma * Q - dx * nl._F_sum(sigma * pos)
     return sigma, psi, bracket, evals

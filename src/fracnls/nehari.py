@@ -139,7 +139,7 @@ def level_c_infinity(
     cfg: Optional[SolverConfig] = None,
 ) -> GroundStateReport:
     """The level of the limiting problem: V frozen at the constant V_inf."""
-    return level_c(prob.with_potential(Potential.constant(prob.potential.V_inf)), starts, cfg=cfg)
+    return level_c(prob.limit, starts, cfg=cfg)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ defect instead of asserting exact evenness.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +39,15 @@ _PS_SLACK = 1e-9  # relative slack of polya_szego_check
 _THRESHOLDS = 50  # superlevel thresholds at which layer_cake_check compares counts
 
 
+@functools.cache
 def _center_out_order(N: int) -> np.ndarray:
+    """Grid indices nearest the center cell first, read-only and built once per N."""
     idx = np.arange(N)
     # primary key: distance from the center cell; secondary: index, which
     # places the left cell first at equal distance
-    return np.lexsort((idx, np.abs(idx - N // 2)))
+    order = np.lexsort((idx, np.abs(idx - N // 2)))
+    order.flags.writeable = False
+    return order
 
 
 def rearrange_values(values: np.ndarray) -> np.ndarray:

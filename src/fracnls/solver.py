@@ -13,9 +13,9 @@ per step:
   1. the L2 gradient of the energy has the half spectrum ``g_hat =
      |w|^(2 alpha) u_hat + rfft(V u - f(u))``, and the loop's residual is
      ``sqrt(<g, g>_L2 / Q)``.  When it reaches grad_tol, the reported
-     residual (``energy.weak_residual_norm``, which differs from the loop's
-     at roundoff, about 1e-13) must confirm it before the solve stops as
-     converged; otherwise the loop goes on.
+     residual (``energy._residual`` of a fresh ``rfft(u)``, which differs
+     from the loop's at roundoff, about 1e-13) must confirm it before the
+     solve stops as converged; otherwise the loop goes on.
      ``u_hat`` and ``Q`` are carried from the accepted step, not recomputed:
      the step is ``u' = sigma (u - t p)``, so ``u_hat' = sigma (u_hat - t
      p_hat)`` and ``Q' = sigma^2 Q(u - t p)``, the quadratic the trial was
@@ -63,11 +63,12 @@ The power nonlinearity's ``f`` is a product of squares for an integer p (see
 per trial projection; the reported energy keeps the float power.
 
 The loop's gradient is ``energy._gradient``, the kernel of
-``energy.gradient_I``.  The returned level, energy and residual are computed
-by the Field-level functions of ``energy``, the residual from a fresh
-transform of u, not the carried ``u_hat``.  A converged solve takes ``2 it +
-5`` real FFTs: ``rfft(u)`` at the start, two per step, the gradient at the
-stopping iterate, and the reported residual's two and energy's one.
+``energy.gradient_I``.  The returned residual and energy are priced from one
+fresh transform of u, not the carried ``u_hat``, by ``energy._residual`` and
+``energy._energy``, the kernels of ``weak_residual_norm`` and
+``evaluate_I``.  A converged solve takes ``2 it + 4`` real FFTs: ``rfft(u)``
+at the start, two per step, the gradient at the stopping iterate, and the
+report's fresh ``rfft(u)`` and its residual's gradient.
 
 Non-convergence (iteration budget exhausted or a fully collapsed line
 search) is a reported state, never an exception: comparison sweeps must be
@@ -87,8 +88,7 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import (EnergyBreakdown, _gradient, _x_product, evaluate_I, project_ray,
-                     weak_residual_norm)
+from .energy import EnergyBreakdown, _energy, _gradient, _residual, _x_product, project_ray
 from .exceptions import AdmissibilityError, ConfigurationError, ProjectionError
 from .grid import Field, Grid
 from .problem import Problem
@@ -116,10 +116,9 @@ _T_MIN = 1e-16
 # an accepted t = 1 is followed by one trial at the minimizer t* of the
 # parabola through E, the slope and the energy at t = 1, when t* exceeds this
 _T_FIT = 1.5
-# the real FFTs of one weak_residual_norm (rfft(u) and _gradient's rfft) and
-# of evaluate_I (rfft(u)), for GroundStateReport.fft_calls
-_RESIDUAL_FFTS = 2
-_ENERGY_FFTS = 1
+# the real FFTs of one reported residual, for GroundStateReport.fft_calls: the
+# fresh rfft(u), which the reported energy shares, and _gradient's rfft
+_REPORT_FFTS = 2
 
 
 @dataclass(frozen=True)
@@ -348,9 +347,11 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None,
         res = None  # the reported residual of u, once computed
         if math.sqrt(float(np.vdot(gw, gh).real) / Q) <= cfg.grad_tol:
             # the loop's residual differs from the reported one at roundoff;
-            # only the reported one may end the solve as converged
-            res = weak_residual_norm(Field(grid, u), prob)
-            ffts += _RESIDUAL_FFTS
+            # only the reported one, from a fresh transform of u rather than
+            # the carried u_hat, may end the solve as converged
+            fresh = np.fft.rfft(u)
+            res = _residual(prob, u, fresh)
+            ffts += _REPORT_FFTS
             if res <= cfg.grad_tol:
                 stop_reason = "converged"
                 break
@@ -370,12 +371,12 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None,
         u, uh, Q, E = step
         iterations += 1
 
-    u = Field(grid, u)
     if res is None:
-        res = weak_residual_norm(u, prob)
-        ffts += _RESIDUAL_FFTS
+        fresh = np.fft.rfft(u)
+        res = _residual(prob, u, fresh)
+        ffts += _REPORT_FFTS
     projections, mismatch_evals, attempts = tally
-    return GroundStateReport(u, res, iterations, stop_reason, evaluate_I(u, prob),
-                             projections, mismatch_evals,
+    return GroundStateReport(Field(grid, u), res, iterations, stop_reason,
+                             _energy(prob, u, fresh), projections, mismatch_evals,
                              line_search_trials=attempts - 1,  # all but the start's
-                             fft_calls=ffts + _ENERGY_FFTS)
+                             fft_calls=ffts)

@@ -257,6 +257,25 @@ class TestLevels:
         direct = level_c(flat, [default_start(prob_well.grid)], cfg=FAST)
         assert est.c == pytest.approx(direct.c, rel=1e-9)
 
+    def test_limit_problem_built_once(self, grid512, cubic, well_potential, monkeypatch):
+        # the limit's potential, symbol and weights are built on the first
+        # level_c_infinity call and reused by the next
+        prob = Problem(grid512, 0.75, cubic, well_potential)
+        real = Potential.constant.__func__
+        built = []
+
+        def spy(cls, value, **flags):
+            built.append(value)
+            return real(cls, value, **flags)
+
+        monkeypatch.setattr(Potential, "constant", classmethod(spy))
+        first, second = level_c_infinity(prob, cfg=FAST), level_c_infinity(prob, cfg=FAST)
+        assert built == [2.0] and prob.limit is prob.limit
+        monkeypatch.undo()
+        fresh = level_c(Problem(grid512, 0.75, cubic, Potential.constant(2.0)), cfg=FAST)
+        assert first.c == second.c == fresh.c
+        assert first.iterations == fresh.iterations
+
 
 class TestSymmetricClass:
     """On a potential flagged radial_increasing, level_c starts from the exactly

@@ -101,7 +101,7 @@ class TestCustomPrimitive:
         (lambda s: s**3, lambda x: x**4 / 4.0, 1e-14),
         (lambda s: s**3 + s**2, lambda x: x**4 / 4.0 + x**3 / 3.0, 1e-14),
         (lambda s: s**2.5, lambda x: x**3.5 / 3.5, 1e-12),
-        # the 64-node rule's own error on [0, 1e-6]
+        # the 64-node rule's own error on the wide gap [1e-4, 1]
         (lambda s: s**1.5, lambda x: x**2.5 / 2.5, 1e-9),
     ])
     @pytest.mark.parametrize("xi", [_XI, _PROFILE, np.array([1e-3, 1.0]),
@@ -186,6 +186,46 @@ class TestCustomPrimitive:
         # F(a) carries the 64-node rule's error on [0, a], which the difference drops
         exact = a ** (q + 1.0) * np.expm1((q + 1.0) * np.log1p((b - a) / a)) / (q + 1.0)
         assert Fb - Fa == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("q", [1.1, 1.5, 2.5, 3.0])
+    @pytest.mark.parametrize("x", [1e-6, 0.59, 3.0])
+    def test_first_panel_at_roundoff(self, q, x):
+        # s^q near 0 is smooth in tau after s = x tau^2; the plain 64-node
+        # rule on [0, x] missed by 1.3e-9 at q = 1.1 and 1.8e-10 at q = 1.5
+        nl = custom_nonlinearity(lambda s: s**q, theta=2.05, p0=7.0)
+        assert nl.F(np.array([x]))[0] == pytest.approx(x ** (q + 1.0) / (q + 1.0), rel=1e-14)
+
+    @pytest.mark.parametrize("xi", [
+        _PROFILE,
+        _PROFILE.reshape(32, 32),
+        np.array([2.0, -1.0, 0.5, 2.0, 0.0, 0.5, -3.0, 1.0, 1e-7]),
+        np.abs(_PROFILE)[np.minimum(np.arange(1024), 1024 - np.arange(1024))],
+        np.array([1e-8, 1e-4, 1.0]),
+        np.array([3.0]),
+    ], ids=["profile", "2-d", "ties-zeros-negatives", "even", "wide-gaps", "one"])
+    def test_sum_of_the_primitive(self, xi):
+        # the panels weighted by how many values lie at or above them: the sum
+        # of the pointwise F to xi.size roundoffs, with far fewer array passes
+        nl = custom_nonlinearity(lambda s: s**3 + s**2, theta=3.0, p0=3.5)
+        want = float(np.sum(nl.F(xi)))
+        assert abs(nl._F_sum(xi) - want) <= xi.size * np.finfo(float).eps * want
+        assert nl._F_sum(xi[::-1]) == nl._F_sum(xi)  # sorted first, whatever the order
+
+    @pytest.mark.parametrize("xi", [np.array([]), np.array([-1.0, 0.0, -0.0]),
+                                    np.zeros((2, 0)), np.array(-2.0)])
+    def test_sum_without_positive_values_is_zero(self, xi):
+        f = _counting(lambda s: s**3)
+        nl = custom_nonlinearity(f, theta=4.0, p0=3.5)
+        got = nl._F_sum(xi)
+        assert type(got) is float and got == 0.0
+        assert f.points == 0
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.7])
+    def test_power_sum_is_the_sum_of_the_closed_form(self, p):
+        nl = power_nonlinearity(p)
+        for xi in (self._PROFILE, self._PROFILE.reshape(32, 32), np.array([-1.0, 0.0])):
+            got = nl._F_sum(xi)
+            assert type(got) is float and got == float(np.sum(nl.F(xi)))
 
     def test_four_points_per_narrow_gap(self):
         f = _counting(lambda s: s**3 + s**2)

@@ -14,6 +14,7 @@ from fracnls import (
     rearrange,
     rearrange_values,
 )
+from fracnls.rearrange import _center_out_order
 
 from conftest import WELL_EXPR, random_field
 
@@ -62,6 +63,13 @@ class TestRearrangeValues:
         star = rearrange_values(u)
         expected = np.where((g.x >= -1.0) & (g.x < 1.0), 1.0, 0.0)
         assert np.array_equal(star, expected)
+
+
+    def test_center_out_order_built_once_per_size(self):
+        order = _center_out_order(8)
+        assert order is _center_out_order(8) and not order.flags.writeable
+        # nearest the center cell 4 first, the left cell first at equal distance
+        assert order.tolist() == [4, 3, 5, 2, 6, 1, 7, 0]
 
 
 class TestRearrangeReport:

@@ -26,6 +26,7 @@ from fracnls import (
     SolverConfig,
     compare_c_to_c_infinity,
     composed_operator,
+    custom_nonlinearity,
     default_start,
     evaluate_I,
     ground_state,
@@ -184,12 +185,13 @@ class TestConjugateDescent:
         assert per_solve - len(calls) == 2 * rep.iterations
 
     def test_fft_calls_counted(self, prob_canonical, monkeypatch):
-        # the start's rfft, two per step, the stopping iterate's gradient, the
-        # reported residual's two and the energy's one
+        # the start's rfft, two per step, the stopping iterate's gradient, and
+        # the report's fresh rfft(u), which the residual and the energy share,
+        # with the residual's gradient
         calls = self._count_ffts(monkeypatch)
         rep = ground_state(prob_canonical)
         assert rep.converged and rep.iterations > 0
-        assert rep.fft_calls == 2 * rep.iterations + 5 == len(calls)
+        assert rep.fft_calls == 2 * rep.iterations + 4 == len(calls)
         calls.clear()
         short = ground_state(prob_canonical, SolverConfig(max_iters=1))
         assert not short.converged and short.fft_calls == len(calls)
@@ -351,19 +353,35 @@ class TestCarriedState:
         # the first time the loop's test passes, the reported residual is made
         # to miss grad_tol: the solve must take further steps, not stop
         plain = ground_state(prob_canonical)
-        real = solver.weak_residual_norm
+        real = solver._residual
         calls = []
 
-        def first_misses(u, prob):
+        def first_misses(prob, u, uh):
             calls.append(u)
-            return 1.0 if len(calls) == 1 else real(u, prob)
+            return 1.0 if len(calls) == 1 else real(prob, u, uh)
 
-        monkeypatch.setattr(solver, "weak_residual_norm", first_misses)
+        monkeypatch.setattr(solver, "_residual", first_misses)
         rep = ground_state(prob_canonical)
         assert rep.converged and rep.residual <= 1e-6
         assert rep.iterations > plain.iterations
         # the confirming residual is the reported one, not evaluated again
         assert len(calls) == 2
+
+
+    @pytest.mark.parametrize("which", ["canonical", "well", "custom"])
+    def test_report_is_priced_like_the_public_functions(self, which, prob_canonical, prob_well,
+                                                        grid512, well_potential):
+        # the residual and the energy share one fresh rfft(u) and are, bit for
+        # bit, what the Field-level functions give on the returned state
+        if which == "custom":
+            nl = custom_nonlinearity(lambda s: s**3 + s**2, theta=3.0, p0=3.5)
+            prob = make_problem(grid512, 0.75, nl, well_potential)
+        else:
+            prob = prob_canonical if which == "canonical" else prob_well
+        rep = ground_state(prob)
+        assert rep.converged
+        assert rep.energy == evaluate_I(rep.u, prob)
+        assert rep.residual == weak_residual_norm(rep.u, prob)
 
 
 class TestScalingOracle:
