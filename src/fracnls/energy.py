@@ -4,44 +4,44 @@
 
 The limiting energy, V replaced by the constant V_inf, is ``evaluate_I`` on
 ``prob.limit``.  The kinetic part and the gradient's linear part act on
-``rfft(u)`` with ``Problem.dirichlet_weights`` and ``Problem.symbol``.  The gradient is represented as the plain field
+``rfft(u)`` with ``Problem.dirichlet_weights`` and ``Problem.symbol``.  The
+gradient is represented as the plain field
 
     g = composed_operator(u, alpha) + V*u - f(u),
 
 whose L2 pairing with any grid test function equals the directional
 derivative of I; g = 0 identifies a weak solution on the discrete space.
-``_gradient``, the array kernel the solver loop calls, returns g's half
-spectrum
+Its half spectrum is
 
     g_hat = |w|^(2 alpha) u_hat + rfft(V*u - f(u)),
 
-one ``rfft``, and ``gradient_I`` brings it to physical space with an
-``irfft``.  The convergence criterion ``weak_residual_norm`` is the L2 norm
-of g scaled by the X-norm of u, both taken on the half spectrum of one
-``rfft(u)``: ``||g||_L2^2`` by Parseval, ``Re vdot(g_hat,
+with the pointwise part ``_local_spectrum``, one ``rfft``; ``gradient_I``
+brings it to physical space with an ``irfft``.  The convergence criterion
+``weak_residual_norm`` is the L2 norm of g scaled by the X-norm of u, both
+on the half spectrum: ``||g||_L2^2`` by Parseval, ``Re vdot(g_hat,
 Problem.parseval_weights * g_hat)``, and ``||u||_X^2`` by ``_x_product``.  A
 true dual norm is not needed for a stopping rule and is documented as such.
-``weak_residual_norm`` and ``evaluate_I`` call their kernels ``_residual`` and
-``_energy`` on ``rfft(u)``, so the solver prices its report from one fresh
-transform.
+Its kernel ``_residual`` takes ``rfft(u)`` and the pointwise part, the
+kernel ``_energy`` of ``evaluate_I`` takes ``rfft(u)``: the solver prices
+its report from one fresh transform and its last gradient's pointwise part.
 
 Along the ray sigma -> sigma*u the energy psi(sigma) = I(sigma*u) rises,
 peaks once, and falls; the peak sigma_u is the unique solution of
 
     ||u||_X^2 = integral f(sigma*u) u / sigma,
 
-and sigma_u * u lies on the manifold { v != 0 : I'(v)v = 0 }.  ``project_ray``
-finds that maximum of I along a ray from the ray's values and ``Q =
-||u||_X^2``, so a caller that knows Q needs no transform.  For the power
-nonlinearity f(xi) = xi_+^p the peak has the closed form
+and sigma_u * u lies on the manifold { v != 0 : I'(v)v = 0 }.
+``ray_projector(prob)`` finds it from a ray's values and ``Q = ||u||_X^2``,
+with no transform and its kernels picked once (a solve builds one
+projector); ``project_ray`` is one call.  For f(xi) = xi_+^p the peak is
 
     sigma_u^(p-1) = Q / integral u_+^(p+1),    psi_max = (1/2 - 1/(p+1)) sigma_u^2 Q,
 
-with the integral taken as the dot product ``f(u) . u`` (for an integer p,
-``f`` is a product of squares, with no float power) and no separate
-positivity test: a ray whose integral is not a positive finite
-number (no positive part, or values whose powers underflow to 0 or
-overflow) raises ``ProjectionError``.
+with the integral from ``problem._power_kernels`` (``h . h``, ``h =
+u_+^((p+1)/2)``, for an odd integer p, else ``f(u) . u``) and no separate
+positivity test: a ray whose integral is not a positive finite number (no
+positive part, or powers that underflow to 0 or overflow) raises
+``ProjectionError``.
 
 For any other nonlinearity the peak is the root of the mismatch
 
@@ -71,7 +71,7 @@ import numpy as np
 
 from .exceptions import AdmissibilityError, ProjectionError
 from .grid import Field
-from .problem import Problem
+from .problem import Problem, _power_kernels
 
 __all__ = [
     "evaluate_I",
@@ -119,29 +119,28 @@ def _x_product(prob: Problem, uh: np.ndarray, vh: np.ndarray, u: np.ndarray,
     return float(dirichlet + prob.grid.dx * ((prob.V_values * u) @ v))
 
 
-def _gradient(prob: Problem, u: np.ndarray, uh: np.ndarray) -> np.ndarray:
-    """Half spectrum of the L2 gradient of the energy at the values u, given
-    u's half spectrum."""
-    return prob.symbol * uh + np.fft.rfft(prob.V_values * u - prob.nonlinearity.f(u))
+def _local_spectrum(prob: Problem, u: np.ndarray) -> np.ndarray:
+    """``rfft(V u - f(u))``, the pointwise part of the gradient's half spectrum."""
+    return np.fft.rfft(prob.V_values * u - prob.nonlinearity.f(u))
 
 
 def gradient_I(u: Field, prob: Problem) -> Field:
     """L2 representative of the derivative of I at u."""
-    gh = _gradient(prob, u.values, np.fft.rfft(u.values))
+    gh = prob.symbol * np.fft.rfft(u.values) + _local_spectrum(prob, u.values)
     return Field(u.grid, np.fft.irfft(gh, u.grid.N))
 
 
 def weak_residual_norm(u: Field, prob: Problem) -> float:
     """Stopping-rule residual ``||gradient||_L2 / ||u||_X``; rejects u = 0."""
-    return _residual(prob, u.values, np.fft.rfft(u.values))
+    return _residual(prob, u.values, np.fft.rfft(u.values), _local_spectrum(prob, u.values))
 
 
-def _residual(prob: Problem, u: np.ndarray, uh: np.ndarray) -> float:
-    """``weak_residual_norm`` of the values u, given u's half spectrum."""
+def _residual(prob: Problem, u: np.ndarray, uh: np.ndarray, rh: np.ndarray) -> float:
+    """``weak_residual_norm`` of u, given ``uh = rfft(u)`` and ``rh = _local_spectrum(prob, u)``."""
     Q = _x_product(prob, uh, uh, u, u)
     if Q <= 0.0:
         raise AdmissibilityError("residual of the zero field is undefined")
-    gh = _gradient(prob, u, uh)
+    gh = prob.symbol * uh + rh
     return math.sqrt(float(np.vdot(gh, prob.parseval_weights * gh).real) / Q)
 
 
@@ -210,35 +209,41 @@ def _log_secant(k, Q: float, theta: float) -> tuple:
 
 
 def project_ray(vals: np.ndarray, Q: float, prob: Problem) -> tuple:
-    """Peak of the fibering map of the ray through ``vals``, whose squared
-    X-norm is ``Q``: ``(sigma_u, psi_max, bracket, mismatch evaluations)``.
+    """``ray_projector(prob)(vals, Q)``."""
+    return ray_projector(prob)(vals, Q)
 
-    Rejects rays without positive part: f vanishes on xi <= 0, so psi is a
-    pure upward parabola there and never crosses.  On the power path a ray
-    whose ``integral u_+^(p+1)`` underflows to 0 or overflows is rejected
-    the same way, as its peak is not representable.
-    """
-    nl = prob.nonlinearity
-    dx = prob.grid.dx
+
+def ray_projector(prob: Problem):
+    """``project(vals, Q)``: the peak of the fibering map of the ray through
+    ``vals``, whose squared X-norm is ``Q``, as ``(sigma_u, psi_max, bracket,
+    mismatch evaluations)``.  It rejects rays without positive part, as f
+    vanishes on xi <= 0 and psi is a pure upward parabola there; on the power
+    path also a ray whose ``integral u_+^(p+1)`` underflows to 0 or
+    overflows, as its peak is not representable."""
+    nl, dx, p = prob.nonlinearity, prob.grid.dx, prob.nonlinearity.p
     if nl.kind == "power":
-        # f(u) u = u_+^(p+1), with no float power for an integer p
-        S = dx * float(nl.f(vals) @ vals)
-        if not 0.0 < S < math.inf:
-            raise ProjectionError(f"integral of u_+^(p+1) on the ray is {S!r}: no positive "
-                                  "part, or one out of floating-point range")
-    else:
-        pos = vals[vals > 0.0]
+        ray_sum, exponent, share = _power_kernels(p)[1], 1.0 / (p - 1.0), 0.5 - 1.0 / (p + 1.0)
+
+        def project(vals: np.ndarray, Q: float) -> tuple:
+            S = dx * ray_sum(vals)
+            if not 0.0 < S < math.inf:
+                raise ProjectionError(f"integral of u_+^(p+1) on the ray is {S!r}: no positive "
+                                      "part, or one out of floating-point range")
+            if Q <= 0.0:
+                raise AdmissibilityError("zero field cannot be projected")
+            sigma = (Q / S) ** exponent
+            return sigma, share * sigma * sigma * Q, (sigma, sigma), 0
+        return project
+
+    f, theta = nl.f_callable, nl.theta
+
+    def project(vals: np.ndarray, Q: float) -> tuple:
+        pos = vals[vals > 0.0]  # f and F vanish on xi <= 0 (f0): k and psi need only these
         if not pos.size:
             raise ProjectionError("ray has no positive part, the fibering map has no maximizer")
-    if Q <= 0.0:
-        raise AdmissibilityError("zero field cannot be projected")
-    if nl.kind == "power":
-        p = nl.p
-        sigma = (Q / S) ** (1.0 / (p - 1.0))
-        return sigma, (0.5 - 1.0 / (p + 1.0)) * sigma * sigma * Q, (sigma, sigma), 0
-
-    # f and F vanish on xi <= 0 (f0), so k and the peak energy need only u's positive part
-    f = nl.f_callable
-    sigma, bracket, evals = _log_secant(lambda s: dx * float(f(s * pos) @ pos) / s, Q, nl.theta)
-    psi = 0.5 * sigma * sigma * Q - dx * nl._F_sum(sigma * pos)
-    return sigma, psi, bracket, evals
+        if Q <= 0.0:
+            raise AdmissibilityError("zero field cannot be projected")
+        sigma, bracket, evals = _log_secant(lambda s: dx * float(f(s * pos) @ pos) / s, Q, theta)
+        psi = 0.5 * sigma * sigma * Q - dx * nl._F_sum(sigma * pos)
+        return sigma, psi, bracket, evals
+    return project

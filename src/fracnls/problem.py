@@ -45,12 +45,7 @@ __all__ = [
     "problem_from_config",
 ]
 
-# Gauss-Legendre rules for the gaps [a, a + w] of the custom primitive: 4
-# nodes, exact to degree 7, where w <= _NARROW * a; 8, exact to degree 15,
-# where w <= a; both keep the error for f(s) = s^q, q <= 6.5, at roundoff.  64
-# nodes on a wider gap, which reaches toward 0, where f may be nonsmooth (s^1.5
-# has an unbounded second derivative there); the first panel [0, x_(1)] takes
-# the 64 nodes after s = x_(1) tau^2 (_first_panel_rule).
+# a gap [a, a + w] of the custom primitive is narrow (4 nodes) where w <= _NARROW * a
 _NARROW = 1.0 / 16.0
 
 
@@ -65,14 +60,6 @@ def _gauss_legendre(n: int) -> tuple:
 
     nodes, weights = leggauss(n)
     return 0.5 * (nodes + 1.0), 0.5 * weights
-
-
-@functools.cache
-def _first_panel_rule() -> tuple:
-    """The 64-node rule on [0, 1] after the substitution s = tau^2: nodes
-    t_i^2 and weights 2 t_i w_i, for the first panel of the custom primitive."""
-    nodes, weights = _gauss_legendre(64)
-    return nodes * nodes, 2.0 * nodes * weights
 
 
 # the sample on which the nonlinearity hypotheses are checked
@@ -94,28 +81,27 @@ class Nonlinearity:
     ``fprime_callable``; with ``f_callable`` it is that callable, with an
     optional derivative, ``kind == "custom"``.  Both kinds extend ``f`` by 0
     on ``xi <= 0``.
-    For an integer ``p`` the power ``f`` is a product of squares, as the
-    descent loop calls it several times per step; ``F`` and ``fprime`` keep
-    the float power, so the energy ``evaluate_I`` reports shares no product
-    with the loop.
+    For an integer ``p`` the power ``f`` is a product of squares, picked
+    once per ``p`` with the ray projection's sum (``_power_kernels``); ``F``
+    and ``fprime`` keep the float power, so the energy ``evaluate_I``
+    reports shares no product with the loop.
 
     The custom primitive ``F(xi) = integral_0^xi f`` is a composite
     Gauss-Legendre rule over the sorted positive values ``x_(1) <= ... <=
     x_(n)`` of the input: one panel on ``[0, x_(1)]`` and one on each gap
     ``[x_(k-1), x_(k)]``, with ``F(x_(k))`` the running sum of the panels.
-    The first panel takes 64 nodes after the substitution ``s = x_(1)
-    tau^2``, which turns ``f(s) ~ s^q`` near 0 into a smooth integrand in
-    ``tau`` (at ``q = 1.1`` and 1.5 the relative error is about 2e-15).  A
-    gap no wider than 1/16 of its distance from 0 takes 4 nodes, with a
-    relative error for ``f(s) = s^q`` of at most 6e-17 up to ``q = 6.5`` and
-    3.7e-14 at ``q = 9``; one no wider than that distance takes 8; a wider
-    one 64; one of width 0, between equal values, none.  On a sampled
-    continuous profile with ``M`` distinct positive values nearly every gap
-    is narrow, so ``f`` sees about ``4 M + 64`` points, all strictly
-    positive.  Nonpositive entries get exactly 0.  The energy and the ray
-    projection need only ``sum_j F(xi_j)``, which ``_F_sum`` takes from the
-    same panels in one weighted pass, with no pointwise ``F``: panel ``i``
-    of ``n`` counts ``n - i + 1`` times.
+    A gap no wider than 1/16 of its distance from 0 takes 4 nodes (relative
+    error for ``f(s) = s^q`` at most 6e-17 up to ``q = 6.5``, 3.7e-14 at
+    ``q = 9``); one no wider than that distance 8; one of width 0 none.  A
+    wider panel ``[a, b]``, the first one among them, takes 64 nodes after
+    ``s = b tau^2``, ``tau in [sqrt(a/b), 1]``, which turns ``f(s) ~ s^q``
+    near 0 smooth in ``tau``: at ``q = 1.1`` and 1.5 the error is about
+    2e-15 on ``[0, x]`` and ``[1e-4, 1]``.  On a sampled profile with ``M``
+    distinct positive values nearly every gap is narrow, so ``f`` sees about
+    ``4 M + 64`` points, all positive; nonpositive entries get exactly 0.
+    ``_F_sum``, the ``sum_j F(xi_j)`` of the energy and the ray projection,
+    weights the same panels in one pass: panel ``i`` of ``n`` counts ``n - i
+    + 1`` times.
     """
 
     theta: float
@@ -146,12 +132,9 @@ class Nonlinearity:
 
     def f(self, xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
-        pos = np.maximum(xi, 0.0)
-        if self.kind == "power":
-            if float(self.p).is_integer():
-                return _integer_power(pos, int(self.p))
-            return pos**self.p
-        return np.where(xi > 0.0, self.f_callable(pos), 0.0)
+        if self.p is None:
+            return np.where(xi > 0.0, self.f_callable(np.maximum(xi, 0.0)), 0.0)
+        return _power_kernels(self.p)[0](xi)
 
     def fprime(self, xi: np.ndarray) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
@@ -195,9 +178,11 @@ class Nonlinearity:
         panels = np.zeros(hi.size)
         if not hi.size:
             return panels
-        # s = x_(1) tau^2 on [0, x_(1)]: f(s) ~ s^q near 0 turns smooth in tau
-        nodes, weights = _first_panel_rule()
-        panels[0] = hi[0] * (weights @ f(hi[0] * nodes))
+        # s = b tau^2 on a wide panel [a, b], tau from sqrt(a/b) to 1: f(s) ~
+        # s^q near 0 turns smooth in tau.  The first panel is its a = 0 case,
+        # taken on its own as it is nearly every profile's only wide panel
+        x64, w64 = _gauss_legendre(64)
+        panels[0] = 2.0 * hi[0] * (w64 @ (x64 * f(hi[0] * (x64 * x64))))
         lo = hi[:-1]
         width = hi[1:] - lo
         gaps = panels[1:]
@@ -205,32 +190,51 @@ class Nonlinearity:
         live = slice(None) if width.all() else width > 0.0
         coarse = np.flatnonzero(width > lo * _NARROW)
         wide = width[coarse] > lo[coarse]
-        # every gap by the narrow rule, then the few coarse and wide ones again
-        for sel, n in ((live, 4), (coarse[~wide], 8), (coarse[wide], 64)):
+        # every gap by the narrow rule, then the few coarse ones again
+        for sel, n in ((live, 4), (coarse[~wide], 8)):
             w = width[sel]
             if w.size:
                 nodes, weights = _gauss_legendre(n)
                 # one column per gap: numpy's inner loops then run over the gaps
                 gaps[sel] = w * (weights @ f(lo[sel] + nodes[:, None] * w))
+        sel = coarse[wide]
+        if sel.size:
+            b, t0 = hi[1:][sel], np.sqrt(lo[sel] / hi[1:][sel])
+            tau = t0 + x64[:, None] * (1.0 - t0)
+            gaps[sel] = (2.0 * b * (1.0 - t0)) * (w64 @ (tau * f(b * (tau * tau))))
         return panels
 
 
-def _integer_power(x: np.ndarray, n: int) -> np.ndarray:
-    """``x**n`` for an integer ``n >= 1`` by repeated squaring.
+@functools.cache
+def _power_kernels(p: float) -> tuple:
+    """``(f, ray_sum)`` of the power nonlinearity, built once per ``p``: ``f(v)
+    = v_+^p`` and the ray projection's ``ray_sum(v) = sum_j f(v_j) v_j``, as
+    ``h @ h`` with ``h = v_+^((p+1)/2)`` for an odd integer ``p``."""
+    f = _positive_power(p)
+    if p % 2.0 == 1.0:
+        half = _positive_power((p + 1.0) / 2.0)
+        return f, lambda v: float((h := half(v)) @ h)
+    return f, lambda v: float(f(v) @ v)
 
-    A handful of products in place of the general float ``pow``, which costs
-    several times as much per element.  The result carries ``n - 1``
-    roundings, so it agrees with ``x**n`` to about ``n/2`` machine epsilons
-    relative, not bit for bit.
-    """
-    out = None
-    while True:
-        if n & 1:
-            out = x if out is None else out * x
-        n >>= 1
-        if not n:
-            return out
-        x = x * x
+
+def _positive_power(q: float) -> Callable[[np.ndarray], np.ndarray]:
+    """``v -> max(v, 0)^q``; for an integer ``q`` by repeated squaring, a few
+    products in place of the general float ``pow``, which costs several times
+    as much per element, and within about ``q/2`` roundoffs of ``v**q``."""
+    if not float(q).is_integer():
+        return lambda v: np.maximum(v, 0.0) ** q
+    n = int(q)
+
+    def power(v: np.ndarray) -> np.ndarray:
+        x, out, k = np.maximum(v, 0.0), None, n
+        while True:
+            if k & 1:
+                out = x if out is None else out * x
+            k >>= 1
+            if not k:
+                return out
+            x = x * x
+    return power
 
 
 def power_nonlinearity(p: float, p0: Optional[float] = None) -> Nonlinearity:

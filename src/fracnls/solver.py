@@ -5,37 +5,32 @@ with the half spectra of ``numpy.fft.rfft`` (fields are real), and builds a
 ``Field`` only for the returned state.  The loop state is ``(u, u_hat, Q,
 E)``: the iterate, its half spectrum, its squared X-norm and its energy.
 One step costs two real FFTs, an ``rfft`` for the gradient and an ``irfft``
-for the preconditioned step; the gradient stays on its half spectrum, and
-every L2 pairing of the step is taken there by Parseval, ``<g, v>_L2 = Re
-vdot(gw, v_hat)`` with ``gw = Problem.parseval_weights * g_hat`` formed once
-per step:
+for the search direction, which is formed on the half spectrum; every L2
+pairing of the step is taken there by Parseval, ``<g, v>_L2 = Re vdot(gw,
+v_hat)`` with ``gw = Problem.parseval_weights * g_hat`` formed once per step:
 
   1. the L2 gradient of the energy has the half spectrum ``g_hat =
      |w|^(2 alpha) u_hat + rfft(V u - f(u))``, and the loop's residual is
      ``sqrt(<g, g>_L2 / Q)``.  When it reaches grad_tol, the reported
-     residual (``energy._residual`` of a fresh ``rfft(u)``, which differs
-     from the loop's at roundoff, about 1e-13) must confirm it before the
-     solve stops as converged; otherwise the loop goes on.
-     ``u_hat`` and ``Q`` are carried from the accepted step, not recomputed:
-     the step is ``u' = sigma (u - t p)``, so ``u_hat' = sigma (u_hat - t
-     p_hat)`` and ``Q' = sigma^2 Q(u - t p)``, the quadratic the trial was
-     priced with (step 3).  Only the start pays ``rfft(u)`` and an X
-     product.  E and Q then come from the same numbers, so the
-     sufficient-decrease test never compares energies priced from two
-     roundings of Q;
+     residual (``energy._residual`` of a fresh ``rfft(u)`` and the step's
+     ``rfft(V u - f(u))``, which differs from the loop's at roundoff, about
+     1e-13) must confirm it before the solve stops as converged; otherwise
+     the loop goes on.  ``u_hat`` and ``Q`` are carried from the accepted
+     step ``u' = sigma (u - t p)``: ``u_hat' = sigma (u_hat - t p_hat)`` and
+     ``Q' = sigma^2 Q(u - t p)``, the quadratic the trial was priced with
+     (step 3).  Only the start pays ``rfft(u)`` and an X product.  E and Q
+     then come from the same numbers, so the sufficient-decrease test never
+     compares energies priced from two roundings of Q;
   2. precondition in frequency space, ``d_hat = g_hat / (|w|^(2 alpha) +
-     kappa)`` and ``d = irfft(d_hat)``, with kappa = max V, a
-     positive-definite approximation of the energy Hessian's linear part;
-  3. step along u - t*p, with p a preconditioned Polak-Ribiere+ conjugate
-     direction: ``p = d + beta p_prev`` with ``beta = max(0, <g - g_prev,
-     d>_L2 / <g_prev, d_prev>_L2)``, restarted at p = d whenever
-     ``<g, p>_L2 <= 0``; the pairings ``<g, d>``, ``<g - g_prev, d>`` and
-     ``<g, p>`` are ``vdot``s of ``gw`` and ``gw_prev`` with ``d_hat`` and
-     ``p_hat``.  Plain descent along d moves a bump sitting off the
-     centre of a well by about 0.002 per iteration (the slow translation
-     mode); the conjugate term carries that motion from step to step.  p's
-     half spectrum is the same combination, ``dh + beta ph_prev``, so no
-     transform is spent on it.
+     kappa)``, with kappa = max V, a positive-definite approximation of the
+     energy Hessian's linear part;
+  3. step along u - t*p, with p the preconditioned Polak-Ribiere+ direction
+     ``p_hat = d_hat + beta p_hat_prev``, ``beta = max(0, <g - g_prev, d>_L2
+     / <g_prev, d_prev>_L2)``, restarted at p = d whenever ``<g, p>_L2 <=
+     0``; ``p = irfft(p_hat)`` is the step's one inverse transform.  Plain
+     descent along d moves a bump sitting off the centre of a well by about
+     0.002 per iteration (the slow translation mode); the conjugate term
+     carries that motion from step to step.
      Backtracking starts at the full step t = 1 and projects every trial
      onto the manifold, until the projected energy satisfies the
      sufficient-decrease test against <g, p>_L2.  The preconditioned
@@ -45,12 +40,12 @@ per step:
      minimizer t* of the parabola through E, the slope and the energy at
      t = 1, if that parabola is convex and t* > 1.5, and kept only if its
      projected energy is lower; the energy never rises.  A trial is priced
-     without a transform: its X-norm is the quadratic
-     ``Q(u - t p) = Q(u) - 2t B(u, p) + t^2 Q(p)``, with B the X inner
-     product (B and Q(p) share p's weighted half spectrum and ``dx V p``,
-     formed once per line search), and ``energy.project_ray`` needs only
-     that and the trial's values.  On the manifold the ray reprojection does not change the
-     first-order decrease rate (the fibering derivative vanishes at the
+     without a transform: its X-norm is the quadratic ``Q(u - t p) = Q(u) -
+     2t B(u, p) + t^2 Q(p)``, with B the X inner product (B and Q(p) share
+     p's weighted half spectrum and ``dx V p``), and the ray projector, built
+     once per solve by ``energy.ray_projector``, needs only that and the
+     trial's values.  On the manifold the ray reprojection does not change
+     the first-order decrease rate (the fibering derivative vanishes at the
      projected point), so the plain gradient pairing is the right slope.
 
 The start, a ``Field`` passed to ``ground_state``, is divided by its largest
@@ -58,17 +53,13 @@ value before it is projected.  The projection is scale-invariant, and a
 start of height 1 keeps the powers of its values in floating-point range, so
 a start of amplitude 1e-90 or 1e90 solves like one of amplitude 1.
 
-The power nonlinearity's ``f`` is a product of squares for an integer p (see
-``problem.Nonlinearity``), which the loop calls once per gradient and once
-per trial projection; the reported energy keeps the float power.
-
-The loop's gradient is ``energy._gradient``, the kernel of
-``energy.gradient_I``.  The returned residual and energy are priced from one
-fresh transform of u, not the carried ``u_hat``, by ``energy._residual`` and
+The returned residual and energy are priced by ``energy._residual`` and
 ``energy._energy``, the kernels of ``weak_residual_norm`` and
-``evaluate_I``.  A converged solve takes ``2 it + 4`` real FFTs: ``rfft(u)``
-at the start, two per step, the gradient at the stopping iterate, and the
-report's fresh ``rfft(u)`` and its residual's gradient.
+``evaluate_I``, from one fresh transform of u (not the carried ``u_hat``)
+and the last gradient's ``rfft(V u - f(u))``, bit for bit what
+``weak_residual_norm`` takes.  A converged solve takes ``2 it + 3`` real
+FFTs: ``rfft(u)`` at the start, two per step, the gradient at the stopping
+iterate and the report's fresh ``rfft(u)``.
 
 Non-convergence (iteration budget exhausted or a fully collapsed line
 search) is a reported state, never an exception: comparison sweeps must be
@@ -88,7 +79,7 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import EnergyBreakdown, _energy, _gradient, _residual, _x_product, project_ray
+from .energy import EnergyBreakdown, _energy, _residual, _x_product, ray_projector
 from .exceptions import AdmissibilityError, ConfigurationError, ProjectionError
 from .grid import Field, Grid
 from .problem import Problem
@@ -116,9 +107,8 @@ _T_MIN = 1e-16
 # an accepted t = 1 is followed by one trial at the minimizer t* of the
 # parabola through E, the slope and the energy at t = 1, when t* exceeds this
 _T_FIT = 1.5
-# the real FFTs of one reported residual, for GroundStateReport.fft_calls: the
-# fresh rfft(u), which the reported energy shares, and _gradient's rfft
-_REPORT_FFTS = 2
+# the report's real FFTs, a fresh rfft(u): its residual reuses the last rfft(V u - f(u))
+_REPORT_FFTS = 1
 
 
 @dataclass(frozen=True)
@@ -223,33 +213,33 @@ def random_starts(grid: Grid, count: int, seed: int = 0) -> list:
             for _ in range(count)]
 
 
-def _direction(gw: np.ndarray, d: np.ndarray, dh: np.ndarray, gd: float, prev) -> tuple:
-    """Preconditioned Polak-Ribiere+ direction, its half spectrum and ``<g, p>_L2``.
+def _direction(gw: np.ndarray, dh: np.ndarray, gd: float, prev) -> tuple:
+    """``(p_hat, <g, p>_L2)`` of the preconditioned Polak-Ribiere+ direction.
 
     ``gw`` is the gradient's half spectrum times the Parseval weights, so
-    ``<g, v>_L2 = Re vdot(gw, v_hat)``; ``d`` is the preconditioned gradient,
-    ``dh`` its half spectrum, ``gd = <g, d>_L2``, and ``prev`` the last
-    step's ``(gw, gd, p, p_hat)``, or None.
-    ``p = d + beta p_prev`` with ``beta = max(0, <g - g_prev, d> / gd_prev)``,
-    restarted at ``p = d`` when it is not a descent direction, ``<g, p> <= 0``.
-    """
+    ``<g, v>_L2 = Re vdot(gw, v_hat)``; ``dh`` is the preconditioned
+    gradient's half spectrum, ``gd = <g, d>_L2``, and ``prev`` the last
+    step's ``(gw, gd, p_hat)``, or None.  ``p = d + beta p_prev`` with ``beta
+    = max(0, <g - g_prev, d> / gd_prev)``, restarted at ``p = d`` when it is
+    not a descent direction, ``<g, p> <= 0``."""
     if prev is None:
-        return d, dh, gd
-    gw_prev, gd_prev, p_prev, ph_prev = prev
+        return dh, gd
+    gw_prev, gd_prev, ph_prev = prev
     beta = max(0.0, float(np.vdot(gw - gw_prev, dh).real) / gd_prev)
     ph = dh + beta * ph_prev
     gp = float(np.vdot(gw, ph).real)
     if gp <= 0.0:
-        return d, dh, gd
-    return d + beta * p_prev, ph, gp
+        return dh, gd
+    return ph, gp
 
 
-def _line_search(prob: Problem, project, u: np.ndarray, uh: np.ndarray, p: np.ndarray,
-                 ph: np.ndarray, Q: float, E: float, slope: float):
+def _line_search(prob: Problem, project, dxV: np.ndarray, u: np.ndarray, uh: np.ndarray,
+                 p: np.ndarray, ph: np.ndarray, Q: float, E: float, slope: float):
     """The projected step along ``u - t p`` as the next state ``(u, u_hat, Q,
-    E)``, or None when the search collapses.  ``Q`` is u's squared X-norm,
-    ``E`` its energy, ``slope = <g, p>_L2`` the decrease rate at t = 0, and
-    ``project(v, Q_v)`` returns the ray projection's ``(sigma, psi)``.
+    E)``, or None when the search collapses.  ``dxV`` is ``dx V``, ``Q`` u's
+    squared X-norm, ``E`` its energy, ``slope = <g, p>_L2`` the decrease rate
+    at t = 0, and ``project(v, Q_v)`` returns the ray projection's ``(sigma,
+    psi)``.
 
     The accepted step is ``sigma (u - t p)``: its half spectrum is
     ``sigma (u_hat - t p_hat)`` and its squared X-norm ``sigma^2`` times the
@@ -257,12 +247,12 @@ def _line_search(prob: Problem, project, u: np.ndarray, uh: np.ndarray, p: np.nd
     transform of u and no X product to know them."""
     # p's halves of the X products B = <u, p>_X and Q_p = <p, p>_X
     wph = prob.dirichlet_weights * ph
-    Vp = prob.grid.dx * (prob.V_values * p)
+    Vp = dxV * p
     B = float(np.vdot(uh, wph).real + Vp @ u)
     Qp = float(np.vdot(ph, wph).real + Vp @ p)
 
     def trial(t: float) -> tuple:
-        v = u - t * p
+        v = u - p if t == 1.0 else u - t * p
         Qt = Q - 2.0 * t * B + t * t * Qp
         sigma, psi = project(v, Qt)
         return psi, sigma, Qt, v
@@ -290,7 +280,7 @@ def _line_search(prob: Problem, project, u: np.ndarray, uh: np.ndarray, p: np.nd
                 star = None
             if star is not None and star[0] < psi:
                 t, (psi, sigma, Qt, v) = t_star, star
-    return sigma * v, sigma * (uh - t * ph), sigma * sigma * Qt, psi
+    return sigma * v, sigma * (uh - ph if t == 1.0 else uh - t * ph), sigma * sigma * Qt, psi
 
 
 def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None,
@@ -317,12 +307,12 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None,
     u0 = u0 / top
 
     grid = prob.grid
-    # projections returned, mismatch evaluations, projections attempted
-    tally = [0, 0, 0]
+    f, dxV, ray = prob.nonlinearity.f, grid.dx * prob.V_values, ray_projector(prob)
+    tally = [0, 0, 0]  # projections returned, mismatch evaluations, projections attempted
 
     def project(v: np.ndarray, Qv: float) -> tuple:
         tally[2] += 1
-        sigma, psi, _, evals = project_ray(v, Qv, prob)
+        sigma, psi, _, evals = ray(v, Qv)
         tally[0] += 1
         tally[1] += evals
         return sigma, psi
@@ -335,13 +325,14 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None,
     sigma, E = project(u0, Q0)
     u, uh, Q = sigma * u0, sigma * u0h, sigma * sigma * Q0
 
-    iterations = 0
-    stop_reason = "budget"
-    prev = None  # (gw, <g, d>, p, p_hat) of the last step, for the conjugate direction
+    iterations, stop_reason = 0, "budget"
+    prev = None  # (gw, <g, d>, p_hat) of the last step, for the conjugate direction
 
     for it in range(cfg.max_iters + 1):
-        gh = _gradient(prob, u, uh)
-        ffts += 1  # _gradient's rfft
+        # the gradient's pointwise part rh is u's alone: u's report reuses it
+        rh = np.fft.rfft(prob.V_values * u - f(u))
+        gh = prob.symbol * uh + rh
+        ffts += 1
         # <g, v>_L2 = Re vdot(gw, v_hat) for every pairing of the step
         gw = prob.parseval_weights * gh
         res = None  # the reported residual of u, once computed
@@ -350,7 +341,7 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None,
             # only the reported one, from a fresh transform of u rather than
             # the carried u_hat, may end the solve as converged
             fresh = np.fft.rfft(u)
-            res = _residual(prob, u, fresh)
+            res = _residual(prob, u, fresh, rh)
             ffts += _REPORT_FFTS
             if res <= cfg.grad_tol:
                 stop_reason = "converged"
@@ -359,21 +350,21 @@ def ground_state(prob: Problem, cfg: Optional[SolverConfig] = None,
             break
 
         dh = prob.precond * gh
-        d = np.fft.irfft(dh, grid.N)
-        ffts += 1  # the step's irfft
         gd = float(np.vdot(gw, dh).real)
-        p, ph, slope = _direction(gw, d, dh, gd, prev)
-        prev = (gw, gd, p, ph)
-        step = _line_search(prob, project, u, uh, p, ph, Q, E, slope)
+        ph, slope = _direction(gw, dh, gd, prev)
+        prev = (gw, gd, ph)
+        p = np.fft.irfft(ph, grid.N)
+        ffts += 1  # the step's irfft
+        step = _line_search(prob, project, dxV, u, uh, p, ph, Q, E, slope)
         if step is None:
             stop_reason = "collapsed"
             break
         u, uh, Q, E = step
         iterations += 1
 
-    if res is None:
+    if res is None:  # rh is u's, as every exit follows u's gradient
         fresh = np.fft.rfft(u)
-        res = _residual(prob, u, fresh)
+        res = _residual(prob, u, fresh, rh)
         ffts += _REPORT_FFTS
     projections, mismatch_evals, attempts = tally
     return GroundStateReport(Field(grid, u), res, iterations, stop_reason,

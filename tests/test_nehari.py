@@ -19,6 +19,7 @@ from fracnls import (
     Problem,
     ProjectionError,
     SolverConfig,
+    compare_c_to_c_infinity,
     compare_levels,
     continuity_sweep,
     custom_nonlinearity,
@@ -28,6 +29,7 @@ from fracnls import (
     inner_product_X,
     level_c,
     level_c_infinity,
+    make_grid,
     make_problem,
     nehari_project,
     norm_X,
@@ -344,6 +346,33 @@ class TestCompareLevels:
         V_high = Potential.constant(1.5)
         with pytest.raises(AdmissibilityError):
             compare_levels(V_low, V_high, prob512, cfg=FAST)
+
+
+class TestExactWell:
+    """A closed form with a non-constant V, shared with no code of the solver.
+
+    At alpha = 1, p = 3 the Poschl-Teller well V = 1 - k sech^2(t), 0 < k <
+    1, has the ground state u = A sech(t) with A^2 = 2 - k: -u'' + V u = u^3
+    holds exactly.  Its level is (1/2 - 1/4) A^4 B(2, 1/2) = (2 - k)^2 / 3,
+    and the limit V = 1 has c_inf = 4/3.  The window L = 20 cuts u at
+    sech(20), about 4e-9, so c moves by about its square, below roundoff.
+    """
+
+    @pytest.mark.parametrize("k", [0.3, 0.6, 0.9])
+    def test_level_state_and_gap(self, cubic, k):
+        V = Potential.from_expr(f"1.0 - {k!r}/cosh(t)**2", V0=1.0 - k, V_inf=1.0,
+                                radial_increasing=True, below_Vinf=True)
+        prob = make_problem(make_grid(20.0, 1024), 1.0, cubic, V)
+        c, c_inf = (2.0 - k) ** 2 / 3.0, 4.0 / 3.0
+        rep = level_c(prob)
+        assert rep.converged
+        assert abs(rep.c - c) <= 1e-12 * c
+        exact = np.sqrt(2.0 - k) / np.cosh(prob.grid.x)
+        assert np.max(np.abs(rep.u.values - exact)) <= 1e-6
+        verdict = compare_c_to_c_infinity(prob, rep)
+        assert verdict.converged and verdict.attained is True
+        assert abs(verdict.c_infinity - c_inf) <= 1e-12 * c_inf
+        assert abs((verdict.c_infinity - verdict.c) - (c_inf - c)) <= 1e-10
 
 
 class TestContinuitySweep:

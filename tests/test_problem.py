@@ -101,8 +101,10 @@ class TestCustomPrimitive:
         (lambda s: s**3, lambda x: x**4 / 4.0, 1e-14),
         (lambda s: s**3 + s**2, lambda x: x**4 / 4.0 + x**3 / 3.0, 1e-14),
         (lambda s: s**2.5, lambda x: x**3.5 / 3.5, 1e-12),
-        # the 64-node rule's own error on the wide gap [1e-4, 1]
-        (lambda s: s**1.5, lambda x: x**2.5 / 2.5, 1e-9),
+        # nonsmooth at 0: the wide gaps [1e-3, 1] and [1e-4, 1] missed by 9.6e-11
+        # (s^1.5) and 6.1e-10 (s^1.1) before they took s = b tau^2
+        (lambda s: s**1.5, lambda x: x**2.5 / 2.5, 1e-13),
+        (lambda s: s**1.1, lambda x: x**2.1 / 2.1, 1e-13),
     ])
     @pytest.mark.parametrize("xi", [_XI, _PROFILE, np.array([1e-3, 1.0]),
                                     np.array([1e-8, 1e-4, 1.0])],

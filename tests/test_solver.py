@@ -40,7 +40,7 @@ from fracnls import (
     random_starts,
     weak_residual_norm,
 )
-from fracnls import solver
+from fracnls import energy, solver
 from fracnls.energy import project_ray
 
 # alpha = 0.75, V = 1, p = 3, L = 20: the discrete minimum at N = 1024, taken
@@ -186,56 +186,94 @@ class TestConjugateDescent:
 
     def test_fft_calls_counted(self, prob_canonical, monkeypatch):
         # the start's rfft, two per step, the stopping iterate's gradient, and
-        # the report's fresh rfft(u), which the residual and the energy share,
-        # with the residual's gradient
+        # the report's fresh rfft(u), which the residual and the energy share;
+        # the residual reuses the stopping gradient's rfft(V u - f(u))
         calls = self._count_ffts(monkeypatch)
         rep = ground_state(prob_canonical)
         assert rep.converged and rep.iterations > 0
-        assert rep.fft_calls == 2 * rep.iterations + 4 == len(calls)
+        assert rep.fft_calls == 2 * rep.iterations + 3 == len(calls)
         calls.clear()
         short = ground_state(prob_canonical, SolverConfig(max_iters=1))
         assert not short.converged and short.fft_calls == len(calls)
+
+    @pytest.mark.parametrize("which, iterations, trials", [
+        ("canonical", 9, 12), ("well", 10, 16), ("flat", 12, 18)])
+    def test_pinned_path(self, grid_canonical, cubic, well_potential, which, iterations,
+                         trials):
+        # N = 1024 from the default start: the path of the parent solver, step
+        # for step, as the direction's half spectrum and the reused transforms
+        # change only roundoff
+        V = {"canonical": Potential.constant(1.0), "well": well_potential,
+             "flat": Potential.constant(2.0)}[which]
+        rep = ground_state(make_problem(grid_canonical, 0.75, cubic, V))
+        assert rep.converged
+        assert (rep.iterations, rep.line_search_trials) == (iterations, trials)
+
+    @pytest.mark.parametrize("nl", [power_nonlinearity(2.0), power_nonlinearity(3.0),
+                                    power_nonlinearity(5.0), power_nonlinearity(3.5),
+                                    custom_nonlinearity(lambda s: s**3 + s**2, theta=3.0,
+                                                        p0=3.5)],
+                             ids=["p2", "p3", "p5", "p3.5", "custom"])
+    def test_solver_projects_like_project_ray(self, grid512, well_potential, nl, monkeypatch):
+        # the one projection path: every ray the solve projects gets, bit for
+        # bit, the sigma and psi that project_ray gives it
+        prob = make_problem(grid512, 0.75, nl, well_potential)
+        calls = []
+        real = solver.ray_projector
+
+        def projector(prob_):
+            project = real(prob_)
+
+            def recorded(v, Qv):
+                out = project(v, Qv)
+                calls.append((v.copy(), Qv, out))
+                return out
+            return recorded
+
+        monkeypatch.setattr(solver, "ray_projector", projector)
+        rep = ground_state(prob, SolverConfig(max_iters=5))
+        assert len(calls) == rep.line_search_trials + 1 > 5
+        for v, Qv, out in calls:
+            assert project_ray(v, Qv, prob) == out
 
     def test_line_search_trials_counted(self, prob_canonical, monkeypatch):
         # every ray projection but the start's prices a trial; the first
         # trial's projection fails, so it counts as a trial and not as a
         # projection
         calls = []
-        real = solver.project_ray
+        real = solver.ray_projector
 
-        def first_trial_fails(*args):
-            calls.append(1)
-            if len(calls) == 2:
-                raise ProjectionError("no projection on this trial")
-            return real(*args)
+        def projector(prob):
+            project = real(prob)
 
-        monkeypatch.setattr(solver, "project_ray", first_trial_fails)
+            def first_trial_fails(*args):
+                calls.append(1)
+                if len(calls) == 2:
+                    raise ProjectionError("no projection on this trial")
+                return project(*args)
+            return first_trial_fails
+
+        monkeypatch.setattr(solver, "ray_projector", projector)
         rep = ground_state(prob_canonical)
         assert rep.converged and rep.line_search_trials >= rep.iterations > 0
         assert rep.line_search_trials == len(calls) - 1
         assert rep.projections == len(calls) - 1
 
     def test_restart_when_not_descent(self, prob512):
-        # a crafted last step with beta = <g, d> and p_prev = -2 d / beta makes
-        # d + beta p_prev = -d, an ascent direction: the step restarts at d
+        # a crafted last step with beta = <g, d> and p_prev's half spectrum
+        # -2 d_hat / beta makes d + beta p_prev = -d, an ascent direction: the
+        # step restarts at d
         prob, dx = prob512, prob512.grid.dx
-        u0 = default_start(prob.grid)
-        ray = nehari_project(u0, prob)
-        u, E = ray.sigma_u * u0.values, ray.psi_max
-        uh = np.fft.rfft(u)
-        gh = solver._gradient(prob, u, uh)
+        u, uh, Q, E, d, dh, gd = self._start_state(prob)
+        gh = prob.symbol * uh + energy._local_spectrum(prob, u)
         gw = prob.parseval_weights * gh
-        dh = prob.precond * gh
-        d = np.fft.irfft(dh, prob.grid.N)
-        gd = float(np.vdot(gw, dh).real)
         assert gd == pytest.approx(dx * float(np.fft.irfft(gh, prob.grid.N) @ d), rel=1e-12)
-        prev = (np.zeros_like(gw), 1.0, -2.0 * d / gd, -2.0 * dh / gd)
-        p, ph, slope = solver._direction(gw, d, dh, gd, prev)
-        assert p is d and ph is dh and slope == gd > 0.0
-        Q = solver._x_product(prob, uh, uh, u, u)
+        prev = (np.zeros_like(gw), 1.0, -2.0 * dh / gd)
+        ph, slope = solver._direction(gw, dh, gd, prev)
+        assert ph is dh and slope == gd > 0.0
         project = lambda v, Qv: project_ray(v, Qv, prob)[:2]  # noqa: E731
-        u_new, uh_new, Q_new, E_new = solver._line_search(prob, project, u, uh, p, ph, Q, E,
-                                                          slope)
+        u_new, uh_new, Q_new, E_new = solver._line_search(prob, project, dx * prob.V_values,
+                                                          u, uh, d, ph, Q, E, slope)
         assert E_new < E
         assert np.max(np.abs(uh_new - np.fft.rfft(u_new))) <= 1e-13 * np.max(np.abs(uh_new))
         assert Q_new == pytest.approx(solver._x_product(prob, uh_new, uh_new, u_new, u_new),
@@ -263,7 +301,7 @@ class TestConjugateDescent:
         ray = nehari_project(u0, prob)
         u, E = ray.sigma_u * u0.values, ray.psi_max
         uh = np.fft.rfft(u)
-        gh = solver._gradient(prob, u, uh)
+        gh = prob.symbol * uh + energy._local_spectrum(prob, u)
         dh = prob.precond * gh
         d = np.fft.irfft(dh, prob.grid.N)
         Q = solver._x_product(prob, uh, uh, u, u)
@@ -274,7 +312,8 @@ class TestConjugateDescent:
         # passes the decrease test and, not being t = 1, gets no fitted trial
         u, uh, Q, E, d, dh, gd = self._start_state(prob512)
         project, calls = self._failing_projection(prob512, fail_on=1)
-        u_new, _, _, E_new = solver._line_search(prob512, project, u, uh, d, dh, Q, E, gd)
+        dxV = prob512.grid.dx * prob512.V_values
+        u_new, _, _, E_new = solver._line_search(prob512, project, dxV, u, uh, d, dh, Q, E, gd)
         assert len(calls) == 2
         v, Qv = calls[1]
         np.testing.assert_array_equal(v, u - 0.5 * d)
@@ -287,8 +326,9 @@ class TestConjugateDescent:
         # parabola's minimizer lies past _T_FIT, whose trial cannot be projected
         u, uh, Q, E, d, dh, gd = self._start_state(prob512)
         project, calls = self._failing_projection(prob512, fail_on=2)
-        u_new, _, _, E_new = solver._line_search(prob512, project, u, uh, d / 4.0, dh / 4.0,
-                                                 Q, E, gd / 4.0)
+        dxV = prob512.grid.dx * prob512.V_values
+        u_new, _, _, E_new = solver._line_search(prob512, project, dxV, u, uh, d / 4.0,
+                                                 dh / 4.0, Q, E, gd / 4.0)
         assert len(calls) == 2
         v, Qv = calls[0]
         np.testing.assert_array_equal(v, u - d / 4.0)
@@ -308,13 +348,15 @@ class TestCarriedState:
         V = Potential.from_expr("1.0 + 1.0/(1.0 + t**2)", V0=1.0, V_inf=1.0)
         prob = Problem(make_grid(20.0, 256), 0.75, cubic, V)
         seen = []
-        real = solver._gradient
+        real = solver._line_search
 
-        def spy(prob_, u, uh):
-            seen[:] = [u, uh]
-            return real(prob_, u, uh)
+        def spy(*args):
+            step = real(*args)
+            if step is not None:
+                seen[:] = step[:2]
+            return step
 
-        monkeypatch.setattr(solver, "_gradient", spy)
+        monkeypatch.setattr(solver, "_line_search", spy)
         rep = ground_state(prob, start=GaussianBump(center=5.0).on(prob.grid))
         assert rep.iterations >= 1000
         assert rep.converged and rep.residual <= 1e-6
@@ -329,9 +371,9 @@ class TestCarriedState:
         assert rep.residual <= 1e-6
         rep = ground_state(prob_canonical, SolverConfig(max_iters=1))
         assert rep.stop_reason == "budget" and not rep.converged
-        # alpha = 1 converges at 1e-12 (23 iterations) and reaches the
-        # roundoff floor below it: the line search collapses at a residual
-        # near 9e-13
+        # at N = 1024 alpha = 1 converges at 1e-11 (23 iterations) and reaches
+        # the roundoff floor below it: the line search collapses after 37
+        # iterations at a residual of 1.1e-12
         prob = make_problem(make_grid(20.0, 1024), 1.0, cubic, flat_potential)
         rep = ground_state(prob, SolverConfig(grad_tol=1e-14))
         assert rep.stop_reason == "collapsed" and not rep.converged
@@ -356,9 +398,9 @@ class TestCarriedState:
         real = solver._residual
         calls = []
 
-        def first_misses(prob, u, uh):
+        def first_misses(prob, u, uh, rh):
             calls.append(u)
-            return 1.0 if len(calls) == 1 else real(prob, u, uh)
+            return 1.0 if len(calls) == 1 else real(prob, u, uh, rh)
 
         monkeypatch.setattr(solver, "_residual", first_misses)
         rep = ground_state(prob_canonical)
@@ -406,9 +448,9 @@ class TestScalingOracle:
 class TestArrayCore:
     """The loop's transform-free arrays against the public Field-level
     functions, on random fields; 1e-12 relative allows for float64 sums over
-    N = 512 taken in another order.  The gradient kernel is also the one of
-    ``gradient_I``, so it is checked against the operator applied on its own:
-    ``composed_operator`` plus ``V u - f(u)``."""
+    N = 512 taken in another order.  The gradient's half spectrum, whose
+    pointwise part the loop and ``gradient_I`` share, is checked against the
+    operator applied on its own: ``composed_operator`` plus ``V u - f(u)``."""
 
     def test_pinned_to_field_level_functions(self, prob_well):
         prob, g = prob_well, prob_well.grid
@@ -420,7 +462,7 @@ class TestArrayCore:
             assert Q == pytest.approx(
                 inner_product_X(Field(g, u), Field(g, u), prob.alpha, prob.V_values), rel=1e-12)
 
-            grad = np.fft.irfft(solver._gradient(prob, u, uh), g.N)
+            grad = energy.gradient_I(Field(g, u), prob).values
             ref = (composed_operator(Field(g, u), prob.alpha).values
                    + prob.V_values * u - prob.nonlinearity.f(u))
             assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
